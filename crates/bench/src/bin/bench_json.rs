@@ -588,7 +588,7 @@ fn run_stages(iters: usize) -> SweepResult {
             trial_seed += 1;
             let mut ctx = TrialContext::seeded(1_000 + trial_seed);
             let trial = ctx.legitimate_trial();
-            black_box(score_trial(&trial, trial_seed, &system));
+            black_box(score_trial(&trial, trial_seed, &system, None));
         }),
     );
 
@@ -820,6 +820,27 @@ fn run_check(current: &RunRecord, history: &[RunRecord], cfg: &sentinel::CheckCo
     report.pass()
 }
 
+const USAGE: &str = "usage: bench_json [--label NAME] [--out FILE] [--iters N] [--best-of N] \
+     [--trace-out FILE] [--check] [--dry-run] [--ledger FILE] [--no-ledger] \
+     [--window N] [--k F]";
+
+/// Prints `message` and the usage, then exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses the value given to `flag`, exiting through [`usage_error`]
+/// when it is missing or malformed.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let Some(value) = value else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: invalid value {value:?}")))
+}
+
 fn main() {
     let mut label = "post".to_string();
     let mut out_path = "BENCH_pipeline.json".to_string();
@@ -834,53 +855,21 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--label" => label = args.next().expect("--label needs a value"),
-            "--out" => out_path = args.next().expect("--out needs a value"),
-            "--iters" => {
-                iters = args
-                    .next()
-                    .expect("--iters needs a value")
-                    .parse()
-                    .expect("--iters must be an integer")
-            }
-            "--best-of" => {
-                best_of = args
-                    .next()
-                    .expect("--best-of needs a value")
-                    .parse()
-                    .expect("--best-of must be an integer")
-            }
-            "--trace-out" => trace_out = Some(args.next().expect("--trace-out needs a value")),
+            "--label" => label = flag_value(&a, args.next()),
+            "--out" => out_path = flag_value(&a, args.next()),
+            "--iters" => iters = flag_value(&a, args.next()),
+            "--best-of" => best_of = flag_value(&a, args.next()),
+            "--trace-out" => trace_out = Some(flag_value(&a, args.next())),
             "--check" => check = true,
             "--dry-run" => {
                 check = true;
                 dry_run = true;
             }
-            "--ledger" => ledger_path = args.next().expect("--ledger needs a value"),
+            "--ledger" => ledger_path = flag_value(&a, args.next()),
             "--no-ledger" => no_ledger = true,
-            "--window" => {
-                check_cfg.window = args
-                    .next()
-                    .expect("--window needs a value")
-                    .parse()
-                    .expect("--window must be an integer")
-            }
-            "--k" => {
-                check_cfg.k = args
-                    .next()
-                    .expect("--k needs a value")
-                    .parse()
-                    .expect("--k must be a number")
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: bench_json [--label NAME] [--out FILE] [--iters N] [--best-of N] \
-                     [--trace-out FILE] [--check] [--dry-run] [--ledger FILE] [--no-ledger] \
-                     [--window N] [--k F]"
-                );
-                std::process::exit(2);
-            }
+            "--window" => check_cfg.window = flag_value(&a, args.next()),
+            "--k" => check_cfg.k = flag_value(&a, args.next()),
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     if trace_out.is_some() && !thrubarrier_obs::COMPILED {

@@ -46,7 +46,7 @@ fn main() {
                 trace_out = Some(std::path::PathBuf::from(v));
             }
             "--help" | "-h" => {
-                print_help();
+                println!("{USAGE}");
                 return;
             }
             other => experiments.push(other.to_string()),
@@ -56,32 +56,20 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create csv output directory");
     }
     if experiments.is_empty() {
-        print_help();
+        println!("{USAGE}");
         return;
     }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "table2",
-            "fig3",
-            "fig4",
-            "fig6",
-            "fig7",
-            "fig9",
-            "fig10",
-            "fig11a",
-            "fig11b",
-            "fig11c",
-            "fig11d",
-            "phoneme-detection",
-            "ablation",
-            "extensions",
-            "architectures",
-            "naive-baseline",
-        ]
+    // Reject unknown names before any experiment runs, so a typo at the
+    // end of a long list does not surface only after the others finish.
+    if let Some(unknown) = experiments
         .iter()
-        .map(|s| s.to_string())
-        .collect();
+        .find(|e| *e != "all" && !EXPERIMENTS.contains(&e.as_str()))
+    {
+        eprintln!("unknown experiment: {unknown}\n\n{USAGE}");
+        std::process::exit(2);
+    }
+    if experiments.iter().any(|e| e == "all") {
+        experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     if trace_out.is_some() {
         if !thrubarrier_obs::COMPILED {
@@ -107,22 +95,39 @@ fn main() {
     }
 }
 
-fn print_help() {
-    println!(
-        "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro [--quick|--full] [--scale X] [--seed N] <experiment>...\n\n\
-         experiments: table1 table2 fig3 fig4 fig6 fig7 fig9 fig10\n\
-                      fig11a fig11b fig11c fig11d phoneme-detection\n\
-                      ablation extensions architectures naive-baseline all\n\n\
-         --quick  small trial counts + energy selector (fast sanity pass)\n\
-         --full   paper-scale trial counts + 64-unit BRNN (hours)\n\
-         --scale  override the trial-count scale (1.0 = paper scale)\n\
-         --seed   override the master seed\n\
-         --csv    directory to write ROC CURVES as CSV (fig9/fig10)\n\
-         --trace-out  write a chrome://tracing JSON of the whole run\n\
-                      (spans only exist when built with --features obs)"
-    );
-}
+/// Every experiment `repro` runs, in the order `all` runs them.
+const EXPERIMENTS: [&str; 17] = [
+    "table1",
+    "table2",
+    "fig3",
+    "fig4",
+    "fig6",
+    "fig7",
+    "fig9",
+    "fig10",
+    "fig11a",
+    "fig11b",
+    "fig11c",
+    "fig11d",
+    "phoneme-detection",
+    "ablation",
+    "extensions",
+    "architectures",
+    "naive-baseline",
+];
+
+const USAGE: &str = "repro — regenerate the paper's tables and figures\n\n\
+     usage: repro [--quick|--full] [--scale X] [--seed N] <experiment>...\n\n\
+     experiments: table1 table2 fig3 fig4 fig6 fig7 fig9 fig10\n\
+                  fig11a fig11b fig11c fig11d phoneme-detection\n\
+                  ablation extensions architectures naive-baseline all\n\n\
+     --quick  small trial counts + energy selector (fast sanity pass)\n\
+     --full   paper-scale trial counts + 64-unit BRNN (hours)\n\
+     --scale  override the trial-count scale (1.0 = paper scale)\n\
+     --seed   override the master seed\n\
+     --csv    directory to write ROC CURVES as CSV (fig9/fig10)\n\
+     --trace-out  write a chrome://tracing JSON of the whole run\n\
+                  (spans only exist when built with --features obs)";
 
 fn run_experiment(
     name: &str,
@@ -292,6 +297,6 @@ fn run_experiment(
             cfg.trials = ((600.0 * preset.scale) as usize).clamp(12, 600);
             println!("{}", extensions::render_all(&cfg));
         }
-        other => eprintln!("unknown experiment: {other} (see repro --help)"),
+        other => unreachable!("experiment names are checked in main: {other}"),
     }
 }

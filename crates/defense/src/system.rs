@@ -42,6 +42,16 @@ impl DefenseMethod {
     }
 }
 
+/// A recording pair made ready for scoring by [`DefenseSystem::prepare`]:
+/// both recordings are non-empty and the wearable recording is aligned
+/// to the VA recording. Borrows the VA recording and owns the aligned
+/// wearable recording.
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    va_recording: &'a AudioBuffer,
+    aligned_wearable: AudioBuffer,
+}
+
 /// The end-to-end thru-barrier attack defense.
 ///
 /// Holds the wearable (whose speaker + accelerometer perform cross-domain
@@ -156,97 +166,90 @@ impl DefenseSystem {
         wearable_recording: &AudioBuffer,
         rng: &mut R,
     ) -> f32 {
+        self.prepare(va_recording, wearable_recording)
+            .map_or(0.0, |prepared| {
+                self.score_prepared(method, &prepared, None, rng)
+            })
+    }
+
+    /// Readies a recording pair for scoring: rejects empty recordings
+    /// and aligns the wearable recording to the VA recording by
+    /// cross-correlation (Eq. 5), honoring the `synchronize` ablation
+    /// switch. `None` (empty input or failed alignment) scores 0 with
+    /// every method. Alignment is deterministic, so one prepared pair
+    /// serves all three methods.
+    pub fn prepare<'a>(
+        &self,
+        va_recording: &'a AudioBuffer,
+        wearable_recording: &AudioBuffer,
+    ) -> Option<Prepared<'a>> {
         if va_recording.is_empty() || wearable_recording.is_empty() {
-            return 0.0;
+            return None;
         }
-        let _span = thrubarrier_obs::span!("defense.score");
-        let aligned_wearable = match self.align(va_recording, wearable_recording) {
-            Some(aligned) => aligned,
-            None => return 0.0,
+        let aligned_wearable = if self.synchronize {
+            let _span = thrubarrier_obs::span!("defense.sync");
+            sync::synchronize(va_recording, wearable_recording, self.max_sync_delay_s)
+                .ok()?
+                .0
+        } else {
+            wearable_recording.clone()
         };
+        Some(Prepared {
+            va_recording,
+            aligned_wearable,
+        })
+    }
+
+    /// Scores a prepared pair with one method. Higher = more likely
+    /// legitimate; `[0, 1]`. For [`DefenseMethod::Full`], `mask` is a
+    /// precomputed sensitive-frame mask — e.g. one of many computed in
+    /// a single minibatch via [`SegmentSelector::sensitive_frames_batch`]
+    /// — or `None` to run the system's own selector; the score is the
+    /// same when `mask` equals what the selector would produce. The
+    /// baselines ignore `mask`.
+    pub fn score_prepared<R: Rng + ?Sized>(
+        &self,
+        method: DefenseMethod,
+        prepared: &Prepared<'_>,
+        mask: Option<&[bool]>,
+        rng: &mut R,
+    ) -> f32 {
+        let _span = thrubarrier_obs::span!("defense.score");
+        let va_recording = prepared.va_recording;
+        let aligned_wearable = &prepared.aligned_wearable;
+        let fs = va_recording.sample_rate();
         match method {
             DefenseMethod::AudioBaseline => {
                 let a = VibrationFeatureExtractor::extract_audio_baseline(va_recording);
-                let b = VibrationFeatureExtractor::extract_audio_baseline(&aligned_wearable);
+                let b = VibrationFeatureExtractor::extract_audio_baseline(aligned_wearable);
                 self.detector.score(&a, &b)
             }
-            DefenseMethod::VibrationBaseline => self.vibration_score(
-                va_recording.samples(),
-                aligned_wearable.samples(),
-                va_recording.sample_rate(),
-                rng,
-            ),
+            DefenseMethod::VibrationBaseline => {
+                self.vibration_score(va_recording.samples(), aligned_wearable.samples(), fs, rng)
+            }
             DefenseMethod::Full => {
-                let fs = va_recording.sample_rate();
-                let mask = {
-                    let _span = thrubarrier_obs::span!("defense.segmentation");
-                    self.selector.sensitive_frames(va_recording.samples(), fs)
+                let own;
+                let mask = match mask {
+                    Some(mask) => mask,
+                    None => {
+                        let _span = thrubarrier_obs::span!("defense.segmentation");
+                        own = self.selector.sensitive_frames(va_recording.samples(), fs);
+                        &own
+                    }
                 };
-                self.masked_vibration_score(va_recording, &aligned_wearable, &mask, rng)
+                // Frame geometry of the paper's MFCC front-end.
+                let (frame_len, hop) = (400, 160);
+                let va_sel = extract_selected_samples(va_recording.samples(), mask, frame_len, hop);
+                let w_sel =
+                    extract_selected_samples(aligned_wearable.samples(), mask, frame_len, hop);
+                if (va_sel.len() as f32) < self.min_selected_s * fs as f32 {
+                    // Too little sensitive-phoneme evidence: treat as an
+                    // attack (legitimate commands always contain it).
+                    return 0.0;
+                }
+                self.vibration_score(&va_sel, &w_sel, fs, rng)
             }
         }
-    }
-
-    /// Scores a recording pair with the **full** pipeline using a
-    /// precomputed sensitive-frame mask — e.g. one of many computed in a
-    /// single minibatch via [`SegmentSelector::sensitive_frames_batch`].
-    /// Identical to [`DefenseSystem::score`] when `mask` equals what the
-    /// system's own selector would produce.
-    pub fn score_full_with_mask<R: Rng + ?Sized>(
-        &self,
-        va_recording: &AudioBuffer,
-        wearable_recording: &AudioBuffer,
-        mask: &[bool],
-        rng: &mut R,
-    ) -> f32 {
-        if va_recording.is_empty() || wearable_recording.is_empty() {
-            return 0.0;
-        }
-        let _span = thrubarrier_obs::span!("defense.score");
-        let aligned_wearable = match self.align(va_recording, wearable_recording) {
-            Some(aligned) => aligned,
-            None => return 0.0,
-        };
-        self.masked_vibration_score(va_recording, &aligned_wearable, mask, rng)
-    }
-
-    /// Cross-correlation alignment of the wearable recording, honoring
-    /// the `synchronize` ablation switch. `None` = alignment failed.
-    fn align(
-        &self,
-        va_recording: &AudioBuffer,
-        wearable_recording: &AudioBuffer,
-    ) -> Option<AudioBuffer> {
-        if self.synchronize {
-            let _span = thrubarrier_obs::span!("defense.sync");
-            sync::synchronize(va_recording, wearable_recording, self.max_sync_delay_s)
-                .ok()
-                .map(|(aligned, _delay)| aligned)
-        } else {
-            Some(wearable_recording.clone())
-        }
-    }
-
-    /// The Full-method tail: applies the sensitive-frame mask to both
-    /// recordings and scores the selections in the vibration domain.
-    fn masked_vibration_score<R: Rng + ?Sized>(
-        &self,
-        va_recording: &AudioBuffer,
-        aligned_wearable: &AudioBuffer,
-        mask: &[bool],
-        rng: &mut R,
-    ) -> f32 {
-        let fs = va_recording.sample_rate();
-        // Frame geometry of the paper's MFCC front-end.
-        let (frame_len, hop) = (400, 160);
-        let va_sel = extract_selected_samples(va_recording.samples(), mask, frame_len, hop);
-        let w_sel = extract_selected_samples(aligned_wearable.samples(), mask, frame_len, hop);
-        if (va_sel.len() as f32) < self.min_selected_s * fs as f32 {
-            // Too little sensitive-phoneme evidence: treat as an
-            // attack (legitimate commands always contain it).
-            return 0.0;
-        }
-        self.vibration_score(&va_sel, &w_sel, fs, rng)
     }
 
     /// RMS level every recording is replayed at: the wearable's speaker
@@ -373,16 +376,20 @@ mod tests {
         let sys = DefenseSystem::paper_default();
         let src = gen::chirp(150.0, 3_000.0, 0.1, 16_000, 1.0);
         let (a, b) = recording_pair(&src, 0.001, 8);
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let inline = sys.score_with_method(DefenseMethod::Full, &a, &b, &mut rng_a);
+        let prepared = sys.prepare(&a, &b).expect("pair aligns");
         let mask = sys
             .selector()
             .sensitive_frames_batch(&[a.samples()], a.sample_rate())
             .pop()
             .unwrap();
-        let masked = sys.score_full_with_mask(&a, &b, &mask, &mut rng_b);
-        assert_eq!(inline.to_bits(), masked.to_bits());
+        let mut rng_own = StdRng::seed_from_u64(9);
+        let mut rng_given = StdRng::seed_from_u64(9);
+        let own = sys.score_prepared(DefenseMethod::Full, &prepared, None, &mut rng_own);
+        let given = sys.score_prepared(DefenseMethod::Full, &prepared, Some(&mask), &mut rng_given);
+        assert_eq!(own.to_bits(), given.to_bits());
+        let mut rng_one_shot = StdRng::seed_from_u64(9);
+        let one_shot = sys.score(&a, &b, &mut rng_one_shot);
+        assert_eq!(own.to_bits(), one_shot.to_bits());
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn run(cfg: &AblationConfig) -> AblationStudy {
             let mut legit = Vec::new();
             let mut attack = Vec::new();
             for (trial, is_attack, seed) in &trials {
-                let scores = score_trial(trial, cfg.seed ^ seed, &system);
+                let scores = score_trial(trial, cfg.seed ^ seed, &system, None);
                 let s = scores[DefenseMethod::all()
                     .iter()
                     .position(|m| *m == DefenseMethod::Full)

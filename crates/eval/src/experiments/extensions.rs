@@ -61,8 +61,8 @@ fn evaluate_with_system(cfg: &ExtensionConfig, system: &DefenseSystem) -> Detect
             .iter()
             .position(|m| *m == DefenseMethod::Full)
             .expect("full present");
-        legit.push(score_trial(&l, cfg.seed ^ (i as u64), system)[full]);
-        attack.push(score_trial(&a, cfg.seed ^ (0x8000 + i as u64), system)[full]);
+        legit.push(score_trial(&l, cfg.seed ^ (i as u64), system, None)[full]);
+        attack.push(score_trial(&a, cfg.seed ^ (0x8000 + i as u64), system, None)[full]);
     }
     DetectionMetrics::from_scores(&legit, &attack)
 }
@@ -156,7 +156,7 @@ pub fn run_repeated_attack_study(cfg: &ExtensionConfig, attempts: &[usize]) -> V
             .iter()
             .position(|m| *m == DefenseMethod::Full)
             .expect("full present");
-        let score = score_trial(&t, cfg.seed ^ (0x9999 + i as u64), &system)[full];
+        let score = score_trial(&t, cfg.seed ^ (0x9999 + i as u64), &system, None)[full];
         bypasses.push(!system.is_attack(score));
     }
     attempts

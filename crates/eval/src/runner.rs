@@ -280,7 +280,7 @@ impl Runner {
                                 group.iter().zip(&trials).zip(&masks)
                             {
                                 let _span = thrubarrier_obs::span!("eval.trial");
-                                let scores = score_trial_with_mask(trial, *seed, system, mask);
+                                let scores = score_trial(trial, *seed, system, Some(mask));
                                 out.push((plan.clone(), scores));
                             }
                         }
@@ -503,54 +503,29 @@ fn build_trial(
 }
 
 /// Scores one trial with all three methods (deterministic per seed).
-pub fn score_trial(trial: &Trial, seed: u64, system: &DefenseSystem) -> [f32; 3] {
-    let mut out = [0.0f32; 3];
-    for (i, method) in DefenseMethod::all().into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
-        out[i] = system.score_with_method(
-            method,
-            &trial.va_recording,
-            &trial.wearable_recording,
-            &mut rng,
-        );
-    }
-    out
-}
-
-/// [`score_trial`] with a precomputed sensitive-frame mask for the full
-/// method — score-identical when `mask` matches what the system's own
-/// selector would produce on the trial's VA recording.
-fn score_trial_with_mask(
+/// The pair is prepared — aligned — once and every method scores the
+/// prepared pair with its own RNG stream. For the full method, `mask`
+/// is a precomputed sensitive-frame mask of the trial's VA recording,
+/// or `None` to run the system's own selector.
+pub fn score_trial(
     trial: &Trial,
     seed: u64,
     system: &DefenseSystem,
-    mask: &[bool],
+    mask: Option<&[bool]>,
 ) -> [f32; 3] {
-    let mut out = [0.0f32; 3];
-    for (i, method) in DefenseMethod::all().into_iter().enumerate() {
+    let Some(prepared) = system.prepare(&trial.va_recording, &trial.wearable_recording) else {
+        return [0.0; 3];
+    };
+    std::array::from_fn(|i| {
         let mut rng = StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
-        out[i] = if method == DefenseMethod::Full {
-            system.score_full_with_mask(
-                &trial.va_recording,
-                &trial.wearable_recording,
-                mask,
-                &mut rng,
-            )
-        } else {
-            system.score_with_method(
-                method,
-                &trial.va_recording,
-                &trial.wearable_recording,
-                &mut rng,
-            )
-        };
-    }
-    out
+        system.score_prepared(DefenseMethod::all()[i], &prepared, mask, &mut rng)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thrubarrier_dsp::AudioBuffer;
 
     fn tiny_config() -> RunnerConfig {
         RunnerConfig {
@@ -564,6 +539,119 @@ mod tests {
             threads: 2,
             batch_size: 3,
         }
+    }
+
+    /// The oracle for [`score_trial`]: every method scored one-shot —
+    /// aligning the pair anew and running the selector inline — with
+    /// the runner's per-method seeds.
+    fn one_shot_scores(trial: &Trial, seed: u64, system: &DefenseSystem) -> [u32; 3] {
+        std::array::from_fn(|i| {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
+            system
+                .score_with_method(
+                    DefenseMethod::all()[i],
+                    &trial.va_recording,
+                    &trial.wearable_recording,
+                    &mut rng,
+                )
+                .to_bits()
+        })
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn runner_scores_match_one_shot_scoring_bitwise() {
+        let brnn = SelectorChoice::Brnn {
+            corpus_size: 6,
+            epochs: 1,
+            hidden: 8,
+        };
+        for selector_choice in [SelectorChoice::Energy, brnn] {
+            let mut cfg = tiny_config();
+            cfg.attack_kinds = AttackKind::all().to_vec();
+            cfg.attacks_per_kind = 2;
+            cfg.selector = selector_choice;
+            let probe = Runner::new(cfg.clone());
+            let plans = probe.plan_trials();
+            let (selector, symbols) = probe.build_selector();
+            let system = DefenseSystem::with_selector(Wearable::fossil_gen_5(), selector.clone());
+            let generator = TrialGenerator::new();
+            let bank = CommandBank::standard();
+            let cache = UtteranceCache::default();
+            let expected: Vec<[u32; 3]> = plans
+                .iter()
+                .map(|plan| {
+                    let (trial, seed) = build_trial(plan, &cfg, &generator, &bank, &cache);
+                    one_shot_scores(&trial, seed, &system)
+                })
+                .collect();
+            for threads in [1, 2] {
+                cfg.threads = threads;
+                let outcome =
+                    Runner::new(cfg.clone()).run_with_selector(selector.clone(), symbols.clone());
+                // The pools list the workers' round-robin chunks in turn.
+                let indices: Vec<usize> = (0..plans.len()).collect();
+                let order = split_round_robin(&indices, threads).concat();
+                for (m, (method, pool)) in outcome.pools.iter().enumerate() {
+                    let mut legitimate = Vec::new();
+                    let mut attacks = Vec::new();
+                    for &j in &order {
+                        match &plans[j] {
+                            TrialPlan::Legitimate { .. } => legitimate.push(expected[j][m]),
+                            TrialPlan::Attack { kind, .. } => attacks.push((*kind, expected[j][m])),
+                        }
+                    }
+                    let context = format!("{method:?}, {selector_choice:?}, {threads} threads");
+                    assert_eq!(bits(&pool.legitimate), legitimate, "{context}");
+                    let got: Vec<(AttackKind, u32)> = pool
+                        .attacks
+                        .iter()
+                        .map(|&(k, s)| (k, s.to_bits()))
+                        .collect();
+                    assert_eq!(got, attacks, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_trial_matches_one_shot_scoring_without_sync() {
+        let mut system = DefenseSystem::paper_default();
+        system.synchronize = false;
+        let mut ctx = crate::scenario::TrialContext::seeded(11);
+        let mut trials = vec![ctx.legitimate_trial()];
+        trials.extend(AttackKind::all().map(|kind| ctx.attack_trial(kind)));
+        for (i, trial) in trials.iter().enumerate() {
+            let seed = 0x5EED + i as u64;
+            let scores = score_trial(trial, seed, &system, None);
+            assert_eq!(
+                bits(&scores),
+                one_shot_scores(trial, seed, &system),
+                "trial {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn rate_mismatched_trial_scores_zero_with_every_method() {
+        let system = DefenseSystem::paper_default();
+        let mut trial = crate::scenario::TrialContext::seeded(12).legitimate_trial();
+        let upsampled: Vec<f32> = trial
+            .wearable_recording
+            .samples()
+            .iter()
+            .flat_map(|&x| [x; 3])
+            .collect();
+        trial.wearable_recording =
+            AudioBuffer::new(upsampled, 3 * trial.wearable_recording.sample_rate());
+        assert!(system
+            .prepare(&trial.va_recording, &trial.wearable_recording)
+            .is_none());
+        assert_eq!(score_trial(&trial, 13, &system, None), [0.0; 3]);
+        assert_eq!(one_shot_scores(&trial, 13, &system), [0; 3]);
     }
 
     #[test]
