@@ -97,6 +97,24 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
+    // The FFT kernel on its own: one forward + one inverse real
+    // transform at the MFCC frame size (512) and at the sync/conversion
+    // scale (32768: the 1 s of 16 kHz speech, zero-padded), on reused
+    // buffers.
+    for (stage, n) in [("fft_real_512", 512usize), ("fft_real_32k", 32_768)] {
+        let sig = &speech[..n.min(speech.len())];
+        let (mut spec, mut back) = (Vec::new(), Vec::new());
+        out.insert(
+            stage,
+            median_ns(iters.max(64), || {
+                fft::half_spectrum_into(black_box(sig), n, &mut spec);
+                back.clear();
+                fft::real_inverse_into(&spec, n, &mut back);
+                black_box(&back);
+            }),
+        );
+    }
+
     let barrier = Barrier::new(BarrierMaterial::GlassWindow);
     out.insert(
         "barrier_transmit_16k_samples",

@@ -7,6 +7,10 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 /// Only the operations needed by this workspace's FFT and frequency-domain
 /// processing are provided; this is not a general-purpose numerics type.
 ///
+/// The layout is `#[repr(C)]` — `re` then `im`, no padding — so a
+/// `[Complex]` is an interleaved `[re, im, re, im, ..]` `f32` array the
+/// FFT's SIMD butterflies load directly.
+///
 /// # Example
 ///
 /// ```
@@ -17,6 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 /// assert_eq!(z * Complex::I, Complex::new(-4.0, 3.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real component.
     pub re: f32,

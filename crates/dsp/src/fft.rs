@@ -14,6 +14,11 @@
 //! samples plus an `O(N)` unpacking step, roughly halving the work of
 //! every spectrum, filter and correlation in the workspace.
 //!
+//! The butterflies run stage by stage over `chunks_exact_mut` blocks,
+//! four at a time on AVX2 hosts (detected at run time). Both kernels are
+//! bitwise identical to the textbook indexed radix-2 loop — no FMA, no
+//! re-association — so the ISA never changes an output bit.
+//!
 //! Lengths must be powers of two; [`next_pow2`] and [`fft_padded`] help
 //! with arbitrary input lengths.
 
@@ -133,39 +138,131 @@ impl FftPlan {
     }
 
     fn process<const INVERSE: bool>(&self, buf: &mut [Complex]) {
+        self.process_with::<INVERSE>(buf, true);
+    }
+
+    /// The transform, running the AVX2 stage kernel for stages with
+    /// `half >= 4` when `simd` is set and the host has AVX2, the scalar
+    /// kernel otherwise. The kernels are bitwise identical, so `simd`
+    /// only changes speed; tests pass `false` to keep the scalar kernel
+    /// covered on AVX2 hosts.
+    fn process_with<const INVERSE: bool>(&self, buf: &mut [Complex], simd: bool) {
         assert_eq!(buf.len(), self.n, "buffer length must match plan size");
-        let n = self.n;
-        if n <= 1 {
+        if self.n <= 1 {
             return;
         }
+        let simd = simd && has_avx2();
         for (i, &j) in self.rev.iter().enumerate() {
             let j = j as usize;
             if j > i {
                 buf.swap(i, j);
             }
         }
-        let mut offset = 0usize;
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let tw = &self.twiddles[offset..offset + half];
-            for start in (0..n).step_by(len) {
-                for (k, &t) in tw.iter().enumerate() {
-                    let w = if INVERSE { t.conj() } else { t };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
-                }
+        let mut twiddles = self.twiddles.as_slice();
+        let mut half = 1usize;
+        while half < self.n {
+            let (tw, rest) = twiddles.split_at(half);
+            match simd && half >= 4 {
+                // SAFETY: `simd` implies the runtime AVX2 check passed.
+                #[cfg(target_arch = "x86_64")]
+                true => unsafe { stage_avx2::<INVERSE>(buf, tw) },
+                _ => stage_scalar::<INVERSE>(buf, tw),
             }
-            offset += half;
-            len <<= 1;
+            twiddles = rest;
+            half <<= 1;
+        }
+    }
+}
+
+/// Whether this host runs the AVX2 butterfly kernel.
+#[inline]
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// One radix-2 stage: for every block of `2 * half` elements, the
+/// butterflies `(a, b) -> (a + b·w, a - b·w)` with `w = tw[k]`
+/// (conjugated for the inverse transform), using exactly the
+/// [`Complex`] operators.
+fn stage_scalar<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
+    let half = tw.len();
+    for block in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        for ((a, b), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let w = if INVERSE { t.conj() } else { t };
+            let x = *a;
+            let y = *b * w;
+            *a = x + y;
+            *b = x - y;
+        }
+    }
+}
+
+/// AVX2 body of [`stage_scalar`], four butterflies per iteration for
+/// stages with `half >= 4`. Each lane does what `Complex` does, with
+/// separate multiplies and adds (no FMA, which would round once instead
+/// of twice): `b·w` is `addsub(b·re(w), swap(b)·im(w))`, i.e.
+/// `(b.re·w.re − b.im·w.im, b.im·w.re + b.re·w.im)`, and the inverse
+/// twiddle's conjugate is a sign-bit XOR, like `Complex::conj`'s negation.
+///
+/// # Safety
+///
+/// The host must support AVX2. `tw.len()` must be a multiple of 4
+/// (asserted) that divides `buf.len() / 2`, as it does for every stage
+/// with `half >= 4` of a power-of-two plan.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn stage_avx2<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_addsub_ps, _mm256_loadu_ps, _mm256_movehdup_ps, _mm256_moveldup_ps,
+        _mm256_mul_ps, _mm256_permute_ps, _mm256_set_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_sub_ps, _mm256_xor_ps,
+    };
+    let half = tw.len();
+    // The loads below read 8 floats (4 butterflies) at a time.
+    assert!(
+        half.is_multiple_of(4),
+        "AVX2 stage needs a multiple of 4 butterflies"
+    );
+    let conj = if INVERSE {
+        _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
+    } else {
+        _mm256_setzero_ps()
+    };
+    for block in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        // `Complex` is `#[repr(C)]` `{ re, im }`: each slice is an
+        // interleaved `f32` array of twice its length.
+        let lo = lo.as_mut_ptr().cast::<f32>();
+        let hi = hi.as_mut_ptr().cast::<f32>();
+        let tw = tw.as_ptr().cast::<f32>();
+        for k in (0..2 * half).step_by(8) {
+            // SAFETY: `k + 8 <= 2 * half`, the `f32` length of `lo`,
+            // `hi` and `tw`.
+            unsafe {
+                let w = _mm256_xor_ps(_mm256_loadu_ps(tw.add(k)), conj);
+                let a = _mm256_loadu_ps(lo.add(k));
+                let b = _mm256_loadu_ps(hi.add(k));
+                let re = _mm256_mul_ps(b, _mm256_moveldup_ps(w));
+                let im = _mm256_mul_ps(_mm256_permute_ps(b, 0b1011_0001), _mm256_movehdup_ps(w));
+                let y = _mm256_addsub_ps(re, im);
+                _mm256_storeu_ps(lo.add(k), _mm256_add_ps(a, y));
+                _mm256_storeu_ps(hi.add(k), _mm256_sub_ps(a, y));
+            }
         }
     }
 }
 
 thread_local! {
-    static PLANS: RefCell<HashMap<usize, Rc<FftPlan>>> = RefCell::new(HashMap::new());
+    /// Plan for size `2^k` at index `k`.
+    static PLANS: RefCell<Vec<Option<Rc<FftPlan>>>> = const { RefCell::new(Vec::new()) };
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
     static ROOTS: RefCell<HashMap<usize, Rc<Vec<Complex>>>> = RefCell::new(HashMap::new());
 }
@@ -228,19 +325,25 @@ struct Scratch {
 /// frequency-domain filters) does exactly that, so the panic is a
 /// programming-error guard, not a reachable input condition.
 pub fn with_plan<R>(n: usize, f: impl FnOnce(&FftPlan) -> R) -> R {
-    debug_assert!(
+    // A hard assert: the cache is keyed by `trailing_zeros`, which only
+    // identifies `n` when it is a power of two.
+    assert!(
         n.is_power_of_two(),
         "with_plan({n}): size must be rounded up via next_pow2 by the caller"
     );
     let plan = PLANS.with(|cache| {
         let mut cache = cache.borrow_mut();
-        if let Some(p) = cache.get(&n) {
+        let k = n.trailing_zeros() as usize;
+        if cache.len() <= k {
+            cache.resize(k + 1, None);
+        }
+        if let Some(p) = &cache[k] {
             thrubarrier_obs::counter!("dsp.fft_plan.hit").incr();
             Rc::clone(p)
         } else {
             thrubarrier_obs::counter!("dsp.fft_plan.miss").incr();
-            let p = Rc::new(FftPlan::new(n).expect("with_plan size must be a power of two"));
-            cache.insert(n, Rc::clone(&p));
+            let p = Rc::new(FftPlan::new(n).expect("size checked to be a power of two above"));
+            cache[k] = Some(Rc::clone(&p));
             p
         }
     });
@@ -301,22 +404,33 @@ fn half_spectrum_with(z: &mut Vec<Complex>, signal: &[f32], n: usize, out: &mut 
     }
     let half = n / 2;
     z.clear();
+    z.extend(
+        signal
+            .chunks(2)
+            .map(|pair| Complex::new(pair[0], pair.get(1).copied().unwrap_or(0.0))),
+    );
     z.resize(half, Complex::ZERO);
-    for (m, slot) in z.iter_mut().enumerate() {
-        let re = signal.get(2 * m).copied().unwrap_or(0.0);
-        let im = signal.get(2 * m + 1).copied().unwrap_or(0.0);
-        *slot = Complex::new(re, im);
-    }
     with_plan(half, |p| {
         p.forward(z);
-        out.reserve(half + 1);
-        for k in 0..=half {
-            let zk = z[k % half];
-            let zmk = z[(half - k) % half].conj();
+        // Bin k pairs z[k] with z[half - k]; bins 0 and half both pair
+        // z[0] with itself.
+        let bin = |zk: Complex, zmk: Complex, w: Complex| {
+            let zmk = zmk.conj();
             let even = (zk + zmk).scale(0.5);
             let odd = (zk - zmk) * Complex::new(0.0, -0.5);
-            out.push(even + p.real_twiddles[k] * odd);
-        }
+            even + w * odd
+        };
+        let tw = &p.real_twiddles;
+        out.reserve(half + 1);
+        out.push(bin(z[0], z[0], tw[0]));
+        out.extend(
+            z[1..]
+                .iter()
+                .zip(z[1..].iter().rev())
+                .zip(&tw[1..half])
+                .map(|((&zk, &zmk), &w)| bin(zk, zmk, w)),
+        );
+        out.push(bin(z[0], z[0], tw[half]));
     });
 }
 
@@ -348,23 +462,24 @@ fn real_inverse_with(z: &mut Vec<Complex>, spec: &[Complex], n: usize, out: &mut
     }
     let half = n / 2;
     z.clear();
-    z.reserve(half);
     with_plan(half, |p| {
-        for k in 0..half {
-            let xk = spec[k];
-            let xmk = spec[half - k].conj();
-            let even = (xk + xmk).scale(0.5);
-            let odd = p.real_twiddles[k].conj() * (xk - xmk).scale(0.5);
-            // z_k = even + i * odd
-            z.push(even + odd * Complex::I);
-        }
+        // z_k = even + i·odd from bins k and half - k.
+        z.extend(
+            spec[..half]
+                .iter()
+                .zip(spec[1..=half].iter().rev())
+                .zip(&p.real_twiddles[..half])
+                .map(|((&xk, &xmk), &w)| {
+                    let xmk = xmk.conj();
+                    let even = (xk + xmk).scale(0.5);
+                    let odd = w.conj() * (xk - xmk).scale(0.5);
+                    even + odd * Complex::I
+                }),
+        );
         p.inverse(z);
     });
     out.reserve(n);
-    for v in z.iter() {
-        out.push(v.re);
-        out.push(v.im);
-    }
+    out.extend(z.iter().flat_map(|v| [v.re, v.im]));
 }
 
 /// Forward FFT of a real signal, zero-padded to the next power of two (or
@@ -487,10 +602,124 @@ where
     out
 }
 
+/// The transforms as they were before the butterfly kernels: the
+/// indexed radix-2 loop and the modulo-indexed real-input packing. The
+/// parity tests hold the production paths bitwise to these.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{with_plan, FftPlan};
+    use crate::complex::Complex;
+
+    /// The indexed radix-2 loop (bounds-checked, one stage per `len`).
+    pub(crate) fn process(plan: &FftPlan, buf: &mut [Complex], inverse: bool) {
+        assert_eq!(buf.len(), plan.n, "buffer length must match plan size");
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        for (i, &j) in plan.rev.iter().enumerate() {
+            let j = j as usize;
+            if j > i {
+                buf.swap(i, j);
+            }
+        }
+        let mut offset = 0usize;
+        let mut len = 2usize;
+        while len <= n {
+            let half = len / 2;
+            let tw = &plan.twiddles[offset..offset + half];
+            for start in (0..n).step_by(len) {
+                for (k, &t) in tw.iter().enumerate() {
+                    let w = if inverse { t.conj() } else { t };
+                    let a = buf[start + k];
+                    let b = buf[start + k + half] * w;
+                    buf[start + k] = a + b;
+                    buf[start + k + half] = a - b;
+                }
+            }
+            offset += half;
+            len <<= 1;
+        }
+    }
+
+    /// Forward transform through [`process`].
+    pub(crate) fn forward(plan: &FftPlan, buf: &mut [Complex]) {
+        process(plan, buf, false);
+    }
+
+    /// Inverse transform through [`process`], with the `1/N` scaling.
+    pub(crate) fn inverse(plan: &FftPlan, buf: &mut [Complex]) {
+        process(plan, buf, true);
+        let scale = 1.0 / plan.n as f32;
+        for v in buf.iter_mut() {
+            *v = v.scale(scale);
+        }
+    }
+
+    /// `half_spectrum_into` through the indexed loop.
+    pub(crate) fn half_spectrum(signal: &[f32], n: usize) -> Vec<Complex> {
+        if n == 1 {
+            return vec![Complex::from_real(signal.first().copied().unwrap_or(0.0))];
+        }
+        let half = n / 2;
+        let mut z = vec![Complex::ZERO; half];
+        for (m, slot) in z.iter_mut().enumerate() {
+            let re = signal.get(2 * m).copied().unwrap_or(0.0);
+            let im = signal.get(2 * m + 1).copied().unwrap_or(0.0);
+            *slot = Complex::new(re, im);
+        }
+        with_plan(half, |p| {
+            forward(p, &mut z);
+            (0..=half)
+                .map(|k| {
+                    let zk = z[k % half];
+                    let zmk = z[(half - k) % half].conj();
+                    let even = (zk + zmk).scale(0.5);
+                    let odd = (zk - zmk) * Complex::new(0.0, -0.5);
+                    even + p.real_twiddles[k] * odd
+                })
+                .collect()
+        })
+    }
+
+    /// `real_inverse_into` through the indexed loop.
+    pub(crate) fn real_inverse(spec: &[Complex], n: usize) -> Vec<f32> {
+        if n == 1 {
+            return vec![spec[0].re];
+        }
+        let half = n / 2;
+        let mut z = Vec::with_capacity(half);
+        with_plan(half, |p| {
+            for k in 0..half {
+                let xk = spec[k];
+                let xmk = spec[half - k].conj();
+                let even = (xk + xmk).scale(0.5);
+                let odd = p.real_twiddles[k].conj() * (xk - xmk).scale(0.5);
+                z.push(even + odd * Complex::I);
+            }
+            inverse(p, &mut z);
+        });
+        z.iter().flat_map(|v| [v.re, v.im]).collect()
+    }
+
+    /// Bitwise equality for finite values; for non-finite ones, the
+    /// same class (NaN payloads may differ between kernels, since
+    /// `a + b` and `b + a` can propagate different NaNs).
+    pub(crate) fn same(a: f32, b: f32) -> bool {
+        if a.is_nan() || b.is_nan() {
+            a.is_nan() && b.is_nan()
+        } else {
+            a.to_bits() == b.to_bits()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_non_power_of_two() {
@@ -662,5 +891,111 @@ mod tests {
         assert_eq!(f.len(), 33);
         assert_eq!(f[0], 0.0);
         assert!((f[32] - 100.0).abs() < 1e-4);
+    }
+
+    fn random_complex(rng: &mut StdRng, n: usize) -> Vec<Complex> {
+        (0..n)
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect()
+    }
+
+    fn assert_same_complex(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                oracle::same(g.re, w.re) && oracle::same(g.im, w.im),
+                "{what} bin {k}: {g:?} vs oracle {w:?}"
+            );
+        }
+    }
+
+    /// Every kernel this host can run, for every size 2^0..2^16, forward
+    /// and inverse, on finite and on non-finite input: the scalar
+    /// kernel, the AVX2 kernel (when the host has it; `simd = true`
+    /// repeats the scalar run otherwise) and the production entry
+    /// points against the indexed-loop oracle.
+    #[test]
+    fn butterfly_kernels_match_the_indexed_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x0FF7);
+        for bits in 0..=16 {
+            let n = 1usize << bits;
+            let plan = FftPlan::new(n).unwrap();
+            let clean = random_complex(&mut rng, n);
+            let mut poisoned = clean.clone();
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let k = rng.gen_range(0..n);
+                poisoned[k] = Complex::new(v, poisoned[k].im);
+            }
+            for (input, kind) in [(&clean, "finite"), (&poisoned, "non-finite")] {
+                for inverse in [false, true] {
+                    let what = format!("n={n} {kind} inverse={inverse}");
+                    let mut want = input.clone();
+                    if inverse {
+                        oracle::inverse(&plan, &mut want);
+                    } else {
+                        oracle::forward(&plan, &mut want);
+                    }
+                    let mut got = input.clone();
+                    if inverse {
+                        plan.inverse(&mut got);
+                    } else {
+                        plan.forward(&mut got);
+                    }
+                    assert_same_complex(&got, &want, &format!("{what} production"));
+                    for simd in [false, true] {
+                        let mut got = input.clone();
+                        if inverse {
+                            plan.process_with::<true>(&mut got, simd);
+                        } else {
+                            plan.process_with::<false>(&mut got, simd);
+                        }
+                        let mut want = input.clone();
+                        oracle::process(&plan, &mut want, inverse);
+                        assert_same_complex(&got, &want, &format!("{what} simd={simd}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The real-input paths against the oracle chains, on random signals
+    /// of every length up to the transform size, empty ones included.
+    #[test]
+    fn real_transforms_match_the_indexed_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x5EC7);
+        for bits in 0..=12 {
+            let n = 1usize << bits;
+            for len in [0, 1, n / 3, n.saturating_sub(1), n] {
+                let sig: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut spec = Vec::new();
+                half_spectrum_into(&sig, n, &mut spec);
+                let want = oracle::half_spectrum(&sig, n);
+                assert_same_complex(&spec, &want, &format!("half_spectrum n={n} len={len}"));
+                let mut back = Vec::new();
+                real_inverse_into(&spec, n, &mut back);
+                let want = oracle::real_inverse(&spec, n);
+                assert_eq!(back.len(), want.len());
+                for (i, (g, w)) in back.iter().zip(&want).enumerate() {
+                    assert!(
+                        oracle::same(*g, *w),
+                        "real_inverse n={n} len={len} sample {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_cache_serves_each_size_its_own_plan() {
+        for bits in [3usize, 0, 10, 1, 3] {
+            let n = 1 << bits;
+            assert_eq!(with_plan(n, |p| p.len()), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "size must be rounded up")]
+    fn plan_cache_rejects_non_power_of_two() {
+        with_plan(12, |p| p.len());
     }
 }

@@ -6,7 +6,8 @@
 //! implemented from scratch:
 //!
 //! * complex arithmetic and a planned radix-2 [`fft`] with a thread-local
-//!   plan cache and a packed real-input fast path,
+//!   plan cache, runtime-dispatched AVX2 butterflies and a packed
+//!   real-input fast path,
 //! * cached frequency-[`response`] curves shared by every simulated
 //!   transducer and barrier,
 //! * [`window`] functions and the short-time Fourier transform ([`stft`]),
