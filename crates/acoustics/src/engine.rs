@@ -1,7 +1,6 @@
 //! Fused single-pass acoustic scene-rendering engine.
 //!
-//! The staged rendering chain ([`AcousticPath::record_staged`]) walks a
-//! recording through **3–4 independent frequency-domain round-trips**:
+//! Rendered stage by stage, a recording walks **3–4 independent frequency-domain round-trips**:
 //! the loudspeaker band-limit, the barrier transmission curve, the
 //! overlap-save reverb convolution and the microphone gain/roll-off
 //! each run their own forward + inverse FFT over the full signal, with
@@ -41,16 +40,16 @@
 //! by the mic's passband (array) gain. The high-pass corner sits at
 //! 60–80 Hz — about 1 % of a 16 kHz recording's white-noise energy —
 //! so the difference stays inside the noise-floor term of the parity
-//! tolerance. Both gaps are gated by proptests against the kept staged
-//! oracle, exactly like the conversion and correlation engines.
+//! tolerance. Both gaps are gated by proptests against the staged chain,
+//! kept as a test-only oracle in this module's tests, exactly like the
+//! conversion and correlation engines.
 //!
 //! [`SceneEngine`] owns the spectrum scratch and [`with_engine`] hands
 //! out a per-thread instance (the `ConversionEngine` pattern), so
 //! steady-state renders allocate only their output buffer. The
 //! `eval.build.propagation` span — previously wrapped around the
 //! recording pair in `eval::scenario` — lives on
-//! [`SceneEngine::record`] now, one span per rendered path, next to
-//! per-path `acoustics.render.path.*` counters.
+//! [`SceneEngine::record`] now, one span per rendered path.
 //!
 //! [`ResponseCurve`]: thrubarrier_dsp::response::ResponseCurve
 
@@ -60,16 +59,6 @@ use crate::scene::AcousticPath;
 use rand::Rng;
 use std::cell::RefCell;
 use thrubarrier_dsp::{fft, gen, AudioBuffer, Complex};
-
-/// Which implementation an [`AcousticPath::record`] call runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RenderPath {
-    /// The fused single-pass engine (this module).
-    #[default]
-    Fused,
-    /// The staged per-stage chain — the parity oracle.
-    Staged,
-}
 
 /// Reusable scratch for fused acoustic-path renders.
 ///
@@ -91,10 +80,10 @@ impl SceneEngine {
         Self::default()
     }
 
-    /// Renders one acoustic path into a microphone recording on the
-    /// path selected by `path.render`. Semantics match
-    /// [`AcousticPath::record_staged`]: same output rate and length,
-    /// same RNG draw sequence, tolerance-level numeric agreement.
+    /// Renders one acoustic path into a microphone recording:
+    /// loudspeaker in time domain, one forward transform,
+    /// combined-transfer multiply, one inverse transform, then the
+    /// noise/clamp tail.
     pub fn record<R: Rng + ?Sized>(
         &mut self,
         path: &AcousticPath,
@@ -104,29 +93,6 @@ impl SceneEngine {
         rng: &mut R,
     ) -> AudioBuffer {
         let _span = thrubarrier_obs::span!("eval.build.propagation");
-        match path.render {
-            RenderPath::Fused => {
-                thrubarrier_obs::counter!("acoustics.render.path.fused").incr();
-                self.record_fused(path, source, sample_rate, mic, rng)
-            }
-            RenderPath::Staged => {
-                thrubarrier_obs::counter!("acoustics.render.path.staged").incr();
-                path.record_staged(source, sample_rate, mic, rng)
-            }
-        }
-    }
-
-    /// The fused render: loudspeaker in time domain, one forward
-    /// transform, combined-transfer multiply, one inverse transform,
-    /// then the noise/clamp tail.
-    fn record_fused<R: Rng + ?Sized>(
-        &mut self,
-        path: &AcousticPath,
-        source: &[f32],
-        sample_rate: u32,
-        mic: &Microphone,
-        rng: &mut R,
-    ) -> AudioBuffer {
         // Nonlinear front: the soft-clipping playback device cannot be
         // folded into the transfer function.
         let played;
@@ -296,22 +262,25 @@ mod tests {
     use super::*;
     use crate::loudspeaker::Loudspeaker;
     use crate::room::{Room, RoomId};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use thrubarrier_dsp::stats;
 
-    #[test]
-    fn staged_path_selector_reproduces_oracle_bitwise() {
-        let path =
-            AcousticPath::thru_barrier(Room::paper_room(RoomId::B), 2.0, Loudspeaker::sound_bar())
-                .with_render(RenderPath::Staged);
-        let sig = thrubarrier_dsp::gen::chirp(150.0, 3_000.0, 0.2, 16_000, 0.4);
-        let mic = Microphone::far_field_array();
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
-        let via_engine = path.record(&sig, 16_000, &mic, &mut rng_a);
-        let direct = path.record_staged(&sig, 16_000, &mic, &mut rng_b);
-        assert_eq!(via_engine.samples(), direct.samples());
+    /// The staged rendering chain: transmit stage by stage, add ambient
+    /// noise, then run the microphone. The parity oracle for
+    /// [`SceneEngine::record`] — its RNG draw order (reverb jitter,
+    /// ambient, mic self-noise) is the contract the fused path matches.
+    fn record_staged<R: Rng + ?Sized>(
+        path: &AcousticPath,
+        source: &[f32],
+        sample_rate: u32,
+        mic: &Microphone,
+        rng: &mut R,
+    ) -> AudioBuffer {
+        let mut incident = path.transmit_positioned(source, sample_rate, rng);
+        path.room.add_ambient_noise(&mut incident, rng);
+        mic.record(&incident, sample_rate, rng)
     }
 
     #[test]
@@ -323,7 +292,7 @@ mod tests {
         let mut rng_f = StdRng::seed_from_u64(11);
         let mut rng_s = StdRng::seed_from_u64(11);
         let fused = path.record(&src, 16_000, &mic, &mut rng_f);
-        let staged = path.record_staged(&src, 16_000, &mic, &mut rng_s);
+        let staged = record_staged(&path, &src, 16_000, &mic, &mut rng_s);
         assert_eq!(fused.len(), staged.len());
         // The impulse still lands 160 samples in, well above the noise.
         let peak_at = fused
@@ -345,7 +314,7 @@ mod tests {
         let mut rng_f = StdRng::seed_from_u64(7);
         let mut rng_s = StdRng::seed_from_u64(7);
         let fused = path.record(&sig, 16_000, &mic, &mut rng_f);
-        let staged = path.record_staged(&sig, 16_000, &mic, &mut rng_s);
+        let staged = record_staged(&path, &sig, 16_000, &mic, &mut rng_s);
         assert_eq!(fused.len(), staged.len());
         let diff: Vec<f32> = fused
             .samples()
@@ -370,10 +339,82 @@ mod tests {
             let mut rng_f = StdRng::seed_from_u64(5);
             let mut rng_s = StdRng::seed_from_u64(5);
             let fused = path.record(&[], 16_000, &mic, &mut rng_f);
-            let staged = path.record_staged(&[], 16_000, &mic, &mut rng_s);
+            let staged = record_staged(&path, &[], 16_000, &mic, &mut rng_s);
             assert_eq!(fused.len(), staged.len(), "distance {distance}");
             // Both paths must have consumed the same number of draws.
             assert_eq!(rng_f.gen::<u64>(), rng_s.gen::<u64>());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused scene engine against the staged oracle across the full
+        /// device matrix: all four paper rooms, all four mic models, the
+        /// direct no-loudspeaker path plus both playback devices (direct
+        /// and thru-barrier), three sample rates, and lengths down to the
+        /// empty signal. Same seed on both paths — outputs must share
+        /// length/rate, agree at the PR 7-style hybrid tolerance, and leave
+        /// the RNG stream in the identical state.
+        #[test]
+        fn fused_render_matches_staged_oracle(
+            room_idx in 0usize..4,
+            mic_idx in 0usize..4,
+            scenario in 0usize..4,
+            rate_idx in 0usize..3,
+            len in 0usize..2_500,
+            distance in 0.5f32..4.0,
+            seed in 0u64..1_000,
+        ) {
+            let rate = [8_000u32, 16_000, 48_000][rate_idx];
+            let room = Room::paper_room(RoomId::all()[room_idx]);
+            let mic = [
+                Microphone::far_field_array(),
+                Microphone::laptop(),
+                Microphone::phone(),
+                Microphone::wearable(),
+            ][mic_idx];
+            let path = match scenario {
+                0 => AcousticPath::direct(room.clone(), distance),
+                1 => {
+                    let mut p = AcousticPath::direct(room.clone(), distance);
+                    p.loudspeaker = Some(Loudspeaker::portable());
+                    p
+                }
+                2 => AcousticPath::thru_barrier(room.clone(), distance, Loudspeaker::sound_bar()),
+                _ => AcousticPath::thru_barrier(room.clone(), distance, Loudspeaker::portable()),
+            };
+            let src = gen::gaussian_noise(&mut StdRng::seed_from_u64(seed), 0.2, len);
+            let mut rng_f = StdRng::seed_from_u64(seed ^ 0xF00D);
+            let mut rng_s = StdRng::seed_from_u64(seed ^ 0xF00D);
+            let fused = path.record(&src, rate, &mic, &mut rng_f);
+            let staged = record_staged(&path, &src, rate, &mic, &mut rng_s);
+            prop_assert_eq!(fused.len(), staged.len());
+            prop_assert_eq!(fused.sample_rate(), staged.sample_rate());
+            // Identical RNG draw counts: the streams are aligned afterwards.
+            prop_assert_eq!(rng_f.gen::<u64>(), rng_s.gen::<u64>());
+            prop_assert!(fused.samples().iter().all(|v| v.is_finite() && v.abs() <= 1.0));
+            // Hybrid tolerance: relative where the signal dominates, plus
+            // absolute headroom of twice the noise floor (ambient through
+            // the mic's passband gain + self-noise) for the structural
+            // truncation/ambient-filtering differences.
+            let diff: Vec<f32> = fused
+                .samples()
+                .iter()
+                .zip(staged.samples())
+                .map(|(a, b)| a - b)
+                .collect();
+            let floor = spl_to_rms(room.ambient_spl_db)
+                * stats::db_to_amplitude(mic.array_gain_db)
+                + spl_to_rms(mic.noise_floor_spl_db);
+            let staged_rms = stats::rms(staged.samples());
+            prop_assert!(
+                stats::rms(&diff) <= 0.15 * staged_rms + 2.0 * floor,
+                "diff rms {} vs staged rms {} (floor {})",
+                stats::rms(&diff),
+                staged_rms,
+                floor
+            );
         }
     }
 }

@@ -39,7 +39,7 @@ pub mod scene;
 pub mod va;
 
 pub use barrier::{Barrier, BarrierMaterial};
-pub use engine::{RenderPath, SceneEngine};
+pub use engine::SceneEngine;
 pub use mic::Microphone;
 pub use room::{Room, RoomId};
 pub use scene::AcousticPath;

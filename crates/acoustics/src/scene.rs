@@ -1,7 +1,7 @@
 //! Composition of a complete acoustic path from a source to a
 //! microphone.
 
-use crate::engine::{self, RenderPath};
+use crate::engine;
 use crate::loudspeaker::Loudspeaker;
 use crate::mic::Microphone;
 use crate::propagation::{distance_gain, propagation_delay_samples};
@@ -26,8 +26,6 @@ pub struct AcousticPath {
     pub distance_m: f32,
     /// Playback device for replayed sounds, if any.
     pub loudspeaker: Option<Loudspeaker>,
-    /// Which rendering implementation [`AcousticPath::record`] uses.
-    pub render: RenderPath,
 }
 
 impl AcousticPath {
@@ -39,7 +37,6 @@ impl AcousticPath {
             through_barrier: false,
             distance_m,
             loudspeaker: None,
-            render: RenderPath::default(),
         }
     }
 
@@ -52,16 +49,7 @@ impl AcousticPath {
             through_barrier: true,
             distance_m,
             loudspeaker: Some(loudspeaker),
-            render: RenderPath::default(),
         }
-    }
-
-    /// The same path with an explicit rendering implementation (parity
-    /// tests and benches pin [`RenderPath::Staged`]; everything else
-    /// keeps the default).
-    pub fn with_render(mut self, render: RenderPath) -> Self {
-        self.render = render;
-        self
     }
 
     /// The shared linear front of the staged chain: playback device,
@@ -117,10 +105,8 @@ impl AcousticPath {
     /// room's ambient noise. Reflections are position-dependent: each
     /// recording device hears its own echo pattern.
     ///
-    /// Rendering is dispatched on [`AcousticPath::render`]: the default
-    /// fused path runs the whole linear chain in one spectral pass on
-    /// the per-thread [`engine::SceneEngine`]; [`RenderPath::Staged`]
-    /// keeps the original stage-by-stage chain as the parity oracle.
+    /// Runs the whole linear chain in one spectral pass on the
+    /// per-thread [`engine::SceneEngine`].
     pub fn record<R: Rng + ?Sized>(
         &self,
         source: &[f32],
@@ -129,22 +115,6 @@ impl AcousticPath {
         rng: &mut R,
     ) -> AudioBuffer {
         engine::with_engine(|e| e.record(self, source, sample_rate, mic, rng))
-    }
-
-    /// The staged rendering chain: transmit stage by stage, add ambient
-    /// noise, then run the microphone. Kept as the parity oracle for
-    /// the fused scene engine — its RNG draw order (reverb jitter,
-    /// ambient, mic self-noise) is the contract the fused path matches.
-    pub fn record_staged<R: Rng + ?Sized>(
-        &self,
-        source: &[f32],
-        sample_rate: u32,
-        mic: &Microphone,
-        rng: &mut R,
-    ) -> AudioBuffer {
-        let mut incident = self.transmit_positioned(source, sample_rate, rng);
-        self.room.add_ambient_noise(&mut incident, rng);
-        mic.record(&incident, sample_rate, rng)
     }
 }
 

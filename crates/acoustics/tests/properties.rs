@@ -2,10 +2,9 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use thrubarrier_acoustics::barrier::{Barrier, BarrierMaterial};
 use thrubarrier_acoustics::loudspeaker::Loudspeaker;
-use thrubarrier_acoustics::mic::Microphone;
 use thrubarrier_acoustics::propagation;
 use thrubarrier_acoustics::room::{Room, RoomId};
 use thrubarrier_acoustics::scene::AcousticPath;
@@ -84,74 +83,6 @@ proptest! {
         let out = room.apply_reverb_positioned(&sig, 16_000, &mut rng);
         prop_assert!((out[0] - 1.0).abs() < 1e-5);
         prop_assert!(out.len() >= sig.len());
-    }
-
-    /// The fused scene engine against the staged oracle across the full
-    /// device matrix: all four paper rooms, all four mic models, the
-    /// direct no-loudspeaker path plus both playback devices (direct
-    /// and thru-barrier), three sample rates, and lengths down to the
-    /// empty signal. Same seed on both paths — outputs must share
-    /// length/rate, agree at the PR 7-style hybrid tolerance, and leave
-    /// the RNG stream in the identical state.
-    #[test]
-    fn fused_render_matches_staged_oracle(
-        room_idx in 0usize..4,
-        mic_idx in 0usize..4,
-        scenario in 0usize..4,
-        rate_idx in 0usize..3,
-        len in 0usize..2_500,
-        distance in 0.5f32..4.0,
-        seed in 0u64..1_000,
-    ) {
-        let rate = [8_000u32, 16_000, 48_000][rate_idx];
-        let room = Room::paper_room(RoomId::all()[room_idx]);
-        let mic = [
-            Microphone::far_field_array(),
-            Microphone::laptop(),
-            Microphone::phone(),
-            Microphone::wearable(),
-        ][mic_idx];
-        let path = match scenario {
-            0 => AcousticPath::direct(room.clone(), distance),
-            1 => {
-                let mut p = AcousticPath::direct(room.clone(), distance);
-                p.loudspeaker = Some(Loudspeaker::portable());
-                p
-            }
-            2 => AcousticPath::thru_barrier(room.clone(), distance, Loudspeaker::sound_bar()),
-            _ => AcousticPath::thru_barrier(room.clone(), distance, Loudspeaker::portable()),
-        };
-        let src = gen::gaussian_noise(&mut StdRng::seed_from_u64(seed), 0.2, len);
-        let mut rng_f = StdRng::seed_from_u64(seed ^ 0xF00D);
-        let mut rng_s = StdRng::seed_from_u64(seed ^ 0xF00D);
-        let fused = path.record(&src, rate, &mic, &mut rng_f);
-        let staged = path.record_staged(&src, rate, &mic, &mut rng_s);
-        prop_assert_eq!(fused.len(), staged.len());
-        prop_assert_eq!(fused.sample_rate(), staged.sample_rate());
-        // Identical RNG draw counts: the streams are aligned afterwards.
-        prop_assert_eq!(rng_f.gen::<u64>(), rng_s.gen::<u64>());
-        prop_assert!(fused.samples().iter().all(|v| v.is_finite() && v.abs() <= 1.0));
-        // Hybrid tolerance: relative where the signal dominates, plus
-        // absolute headroom of twice the noise floor (ambient through
-        // the mic's passband gain + self-noise) for the structural
-        // truncation/ambient-filtering differences.
-        let diff: Vec<f32> = fused
-            .samples()
-            .iter()
-            .zip(staged.samples())
-            .map(|(a, b)| a - b)
-            .collect();
-        let floor = propagation::spl_to_rms(room.ambient_spl_db)
-            * stats::db_to_amplitude(mic.array_gain_db)
-            + propagation::spl_to_rms(mic.noise_floor_spl_db);
-        let staged_rms = stats::rms(staged.samples());
-        prop_assert!(
-            stats::rms(&diff) <= 0.15 * staged_rms + 2.0 * floor,
-            "diff rms {} vs staged rms {} (floor {})",
-            stats::rms(&diff),
-            staged_rms,
-            floor
-        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Measures the median time of each pipeline stage and writes (or merges
 //! into) `BENCH_pipeline.json` so the perf trajectory of the workspace is
-//! tracked in-repo across PRs. Criterion remains the precision harness;
-//! this binary exists so a labelled snapshot can be committed.
+//! tracked in-repo across PRs. It is the workspace's one benchmark
+//! harness for per-stage figures: the ledger and the regression
+//! sentinel below gate on what it measures.
 //!
 //! Usage: `bench_json [--label NAME] [--out FILE] [--iters N]
 //! [--best-of N] [--trace-out FILE] [--check] [--dry-run]
@@ -48,7 +49,7 @@ use thrubarrier_nn::act::gates_fused;
 use thrubarrier_nn::lstm::BiLstm;
 use thrubarrier_nn::model::{BrnnClassifier, TrainConfig};
 use thrubarrier_nn::score::{ScoreService, DEFAULT_MAX_BATCH};
-use thrubarrier_nn::{BackwardPath, BatchWorkspace, GemmScratch};
+use thrubarrier_nn::{BatchWorkspace, GemmScratch};
 use thrubarrier_obs::ledger::{Ledger, RunRecord};
 use thrubarrier_vibration::Wearable;
 
@@ -159,10 +160,9 @@ fn run_stages(iters: usize) -> SweepResult {
     // `xcorr_1s` is the full-correlation auto path (FFT at this size),
     // `estimate_delay_1s` pins the exact bounded-FFT search the engine
     // picks for this shape (pinned so the figure keeps naming one path
-    // even if auto crossovers are retuned), `estimate_delay_1s_coarse`
-    // tracks the opt-in approximate coarse-to-fine path, and the
-    // `*_time` stages are the exact time-domain oracles the speedups
-    // are claimed against. The oracles cost ~10^8 multiply-adds per
+    // even if auto crossovers are retuned), and the `*_time` stages are
+    // the exact time-domain paths `Auto` picks for small inputs, which
+    // the speedups are claimed against. The oracles cost ~10^8 multiply-adds per
     // call, so they run on a reduced iteration budget.
     out.insert(
         "xcorr_1s",
@@ -196,20 +196,6 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
     out.insert(
-        "estimate_delay_1s_coarse",
-        median_ns(iters, || {
-            black_box(
-                correlate::estimate_delay_with(
-                    black_box(&reference),
-                    black_box(&delayed),
-                    4_000,
-                    correlate::LagSearch::CoarseToFine,
-                )
-                .unwrap(),
-            );
-        }),
-    );
-    out.insert(
         "estimate_delay_1s_time",
         median_ns(iters.min(5), || {
             black_box(
@@ -225,8 +211,8 @@ fn run_stages(iters: usize) -> SweepResult {
     );
 
     // Parity guard: at the 1 s shape the engine's frequency-domain paths
-    // must never lose to the exact time-domain oracles on the bench
-    // host. Asserted so a path-selection regression fails the bench run
+    // (full FFT correlation and the bounded-lag FFT search) must never
+    // lose to the exact time-domain paths on the bench host. Asserted so a path-selection regression fails the bench run
     // instead of silently recording a bad snapshot. The stage value is
     // the full-correlation speedup in thousandths (unitless — the one
     // stage in this file that is not a nanosecond median).
@@ -237,7 +223,7 @@ fn run_stages(iters: usize) -> SweepResult {
     );
     assert!(
         out["estimate_delay_1s"] <= out["estimate_delay_1s_time"],
-        "xcorr_parity: coarse-to-fine {} ns slower than exhaustive {} ns at 1 s inputs",
+        "xcorr_parity: bounded-FFT lag search {} ns slower than time-domain {} ns at 1 s inputs",
         out["estimate_delay_1s"],
         out["estimate_delay_1s_time"]
     );
@@ -258,10 +244,9 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // The conversion engine's stages at the verification shape (1 s of
     // speech at 16 kHz): `vibration_convert_1s` is the fused
-    // single-transform path, `vibration_convert_1s_staged` the kept
-    // per-effect oracle the speedup is claimed against, and
-    // `vibration_score_pair_1s` the defense's pair-conversion scoring
-    // call that rides on `convert_pair`.
+    // single-transform conversion and `vibration_score_pair_1s` the
+    // defense's pair-conversion scoring call that rides on
+    // `convert_pair`.
     let one_sec = gen::chirp(150.0, 3_000.0, 1.0, 16_000, 1.0);
     out.insert(
         "vibration_convert_1s",
@@ -270,49 +255,21 @@ fn run_stages(iters: usize) -> SweepResult {
             black_box(wearable.convert(black_box(&one_sec), 16_000, &mut rng));
         }),
     );
-    out.insert(
-        "vibration_convert_1s_staged",
-        median_ns(iters, || {
-            let mut rng = StdRng::seed_from_u64(7);
-            black_box(wearable.convert_staged(black_box(&one_sec), 16_000, &mut rng));
-        }),
-    );
-
-    // Parity guard: the fused engine must never lose to the staged
-    // oracle on the bench host. Asserted so an engine regression fails
-    // the bench run instead of silently recording a bad snapshot; the
-    // speedup stage is in thousandths, like `xcorr_parity_speedup_x1000`.
-    let (fused_ns, staged_ns) = (
-        out["vibration_convert_1s"],
-        out["vibration_convert_1s_staged"],
-    );
-    assert!(
-        fused_ns <= staged_ns,
-        "vibration_parity: fused path {fused_ns} ns slower than staged {staged_ns} ns at 1 s inputs"
-    );
-    out.insert(
-        "vibration_parity_speedup_x1000",
-        staged_ns * 1_000 / fused_ns.max(1),
-    );
 
     // Acoustic scene rendering (the evaluation's dominant trial-build
     // cost): 2 s of source propagated through a thru-barrier path —
     // barrier curve, spreading loss + travel delay, room reverb, mic
-    // response and the noise tail — into a phone mic.
-    // `scene_record_2s` is the fused single-pass engine,
-    // `scene_record_2s_staged` the kept stage-by-stage oracle. The
-    // path carries no loudspeaker: the playback-device stage (a
-    // nonlinear front that both render paths execute identically, with
-    // its own `vibration_*`/`end_to_end_trial` coverage) would only
-    // add a fixed cost to both sides and blur what the render paths
-    // themselves cost.
+    // response and the noise tail — into a phone mic, through the fused
+    // single-pass engine. The path carries no loudspeaker: the
+    // playback-device stage (a nonlinear front with its own
+    // `vibration_*`/`end_to_end_trial` coverage) would only add a fixed
+    // cost and blur what rendering itself costs.
     let scene_src = gen::chirp(120.0, 3_000.0, 0.3, 16_000, 2.0);
     let scene_path = thrubarrier_acoustics::AcousticPath {
         room: thrubarrier_acoustics::Room::paper_room(thrubarrier_acoustics::RoomId::A),
         through_barrier: true,
         distance_m: 2.0,
         loudspeaker: None,
-        render: thrubarrier_acoustics::RenderPath::Fused,
     };
     let scene_mic = thrubarrier_acoustics::Microphone::phone();
     out.insert(
@@ -322,34 +279,6 @@ fn run_stages(iters: usize) -> SweepResult {
             black_box(scene_path.record(black_box(&scene_src), 16_000, &scene_mic, &mut rng));
         }),
     );
-    let staged_scene_path = scene_path
-        .clone()
-        .with_render(thrubarrier_acoustics::RenderPath::Staged);
-    out.insert(
-        "scene_record_2s_staged",
-        median_ns(iters, || {
-            let mut rng = StdRng::seed_from_u64(9);
-            black_box(staged_scene_path.record(
-                black_box(&scene_src),
-                16_000,
-                &scene_mic,
-                &mut rng,
-            ));
-        }),
-    );
-
-    // Same asserted guard as the vibration engine: a scene-engine
-    // regression fails the bench run rather than recording a snapshot.
-    let (fused_ns, staged_ns) = (out["scene_record_2s"], out["scene_record_2s_staged"]);
-    assert!(
-        fused_ns <= staged_ns,
-        "scene_parity: fused path {fused_ns} ns slower than staged {staged_ns} ns at 2 s inputs"
-    );
-    out.insert(
-        "scene_parity_speedup_x1000",
-        staged_ns * 1_000 / fused_ns.max(1),
-    );
-
     let mut pair_system = DefenseSystem::paper_default();
     pair_system.synchronize = false; // isolate conversion + correlation
     let va_1s = thrubarrier_dsp::AudioBuffer::new(one_sec.clone(), 16_000);
@@ -545,11 +474,10 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // The backward half in isolation, at the same minibatch-8 shape:
     // one BiLSTM BPTT sweep (no head, no optimizer) through the fused
-    // register-tiled engine versus the kept unfused oracle. The
-    // forward pass and packing run once outside the timed closure, so
-    // the stage pair isolates exactly what the fused gate sweep, the
-    // cached-transpose `Uᵀ·dZ` GEMM and the tiled `dW += dZᵀ·X`
-    // accumulations buy.
+    // register-tiled engine. The forward pass and packing run once
+    // outside the timed closure, so the stage isolates the fused gate
+    // sweep, the cached-transpose `Uᵀ·dZ` GEMM and the tiled
+    // `dW += dZᵀ·X` accumulations.
     let mut rng = StdRng::seed_from_u64(6);
     let mut bptt = BiLstm::new(mfcc.n_coeffs(), 64, &mut rng);
     let bptt_seqs: Vec<&[Vec<f32>]> = seqs8.iter().map(|(x, _)| x.as_slice()).collect();
@@ -561,40 +489,18 @@ fn run_stages(iters: usize) -> SweepResult {
         .map(|s| (0..s.len() * 64).map(|j| (0.17 * j as f32).sin()).collect())
         .collect();
     let bptt_dhs: Vec<&[f32]> = bptt_dhs_flat.iter().map(|v| v.as_slice()).collect();
-    for (stage, path) in [
-        ("brnn_backward_batch8", BackwardPath::Fused),
-        ("brnn_backward_batch8_unfused", BackwardPath::Unfused),
-    ] {
-        out.insert(
-            stage,
-            median_ns(iters.max(32), || {
-                for p in bptt.params_mut() {
-                    p.zero_grad();
-                }
-                bptt.backward_batch(
-                    black_box(&mut bptt_ws),
-                    black_box(&bptt_dhs),
-                    &mut bptt_scratch,
-                    path,
-                );
-            }),
-        );
-    }
-
-    // Parity guard in the `vibration_parity` / `xcorr_parity` style:
-    // the fused backward engine must never lose to the unfused oracle
-    // on the bench host, and the margin is recorded in thousandths.
-    let (bwd_fused_ns, bwd_unfused_ns) = (
-        out["brnn_backward_batch8"],
-        out["brnn_backward_batch8_unfused"],
-    );
-    assert!(
-        bwd_fused_ns <= bwd_unfused_ns,
-        "backward_parity: fused engine {bwd_fused_ns} ns slower than unfused {bwd_unfused_ns} ns at minibatch 8"
-    );
     out.insert(
-        "brnn_backward_parity_speedup_x1000",
-        bwd_unfused_ns * 1_000 / bwd_fused_ns.max(1),
+        "brnn_backward_batch8",
+        median_ns(iters.max(32), || {
+            for p in bptt.params_mut() {
+                p.zero_grad();
+            }
+            bptt.backward_batch(
+                black_box(&mut bptt_ws),
+                black_box(&bptt_dhs),
+                &mut bptt_scratch,
+            );
+        }),
     );
 
     // The end-to-end pipeline: synthesize + propagate + record a trial,

@@ -247,7 +247,6 @@ pub fn run_selection<R: Rng + ?Sized>(
                 through_barrier: false,
                 distance_m: cfg.distance_m,
                 loudspeaker: Some(speaker_device),
-                render: Default::default(),
             };
             let user_rec = user_path.record(&calibrated, fs, &mic, rng);
             user_vibs.push(wearable.convert(user_rec.samples(), fs, rng));

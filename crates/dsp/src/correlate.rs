@@ -8,9 +8,7 @@
 //!   correlation is ever materialized, by size-selected choice between a
 //!   windowed time-domain scan and frequency-domain circular correlation
 //!   on the planned real transform (both exact; the time-domain path
-//!   doubles as the parity oracle). A decimate-then-refine coarse-to-fine
-//!   search exists as an explicit opt-in for callers that can trade exact
-//!   argmax semantics for speed ([`LagSearch::CoarseToFine`]).
+//!   doubles as the parity oracle).
 //! * [`cross_correlate`] produces the full `N + M - 1` linear correlation
 //!   the same way: direct form for small inputs, conjugate-multiply FFT
 //!   for the common case, and an overlap-save pass (sharing
@@ -31,7 +29,6 @@ use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft;
 use crate::filter;
-use crate::resample;
 use crate::stats;
 use crate::stft::Spectrogram;
 
@@ -69,24 +66,6 @@ pub enum LagSearch {
     /// roughly half the transform of the full `2N−1` correlation — from
     /// which only the `±max_lag` window is read.
     Fft,
-    /// Coarse-to-fine: both signals are boxcar-decimated by
-    /// [`COARSE_DECIMATION`], the window is searched at the low rate via
-    /// the FFT path, and the estimate is refined exactly at full rate
-    /// over `±`[`REFINE_RADIUS`] lags with the time-domain scan.
-    ///
-    /// **Opt-in approximation** — never chosen by [`LagSearch::Auto`].
-    /// It recovers a genuinely embedded delay exactly (property-tested
-    /// at 16/48 kHz across the network-delay envelope), but when the
-    /// correlation surface carries near-tied side lobes the decimated
-    /// argmax can land on a different lobe than the exact argmax:
-    /// measured on the eval corpus, speech pitch side lobes one F0
-    /// period (~75–110 samples at 16 kHz) from the true peak reorder
-    /// under decimation, and on uncorrelated attack-trial pairs the
-    /// surface is flat enough that *any* coarse search shifts the
-    /// reported lag. Callers that only need fast alignment of sharply
-    /// peaked signals can request it; callers whose downstream scores
-    /// depend on exact argmax semantics should stay on `Auto`.
-    CoarseToFine,
 }
 
 /// `min(N, M) · max(N, M)` multiply-adds below which the direct form wins
@@ -108,18 +87,6 @@ const OVERLAP_SAVE_MIN_RATIO: usize = 8;
 /// costs three transforms regardless of how narrow the window is, and
 /// won from ~64k MACs up — e.g. already 1.8x at N=512, W=257).
 const LAG_TIME_MAX_MACS: usize = 1 << 15;
-
-/// Decimation factor of the coarse pass. At the paper's 16 kHz audio
-/// rate this searches the lag window at an effective 2 kHz; the boxcar's
-/// first spectral null lands at `fs / 8`, enough anti-aliasing for the
-/// broad speech correlation peak to survive while the coarse FFT shrinks
-/// by 8x (and its lag window by 8x on top).
-const COARSE_DECIMATION: usize = 8;
-
-/// Full-rate lags searched around the coarse estimate. Boxcar decimation
-/// can move the coarse peak by ±1 coarse sample (±[`COARSE_DECIMATION`]
-/// fine lags); twice that margin absorbs the filter transition as well.
-const REFINE_RADIUS: isize = 2 * COARSE_DECIMATION as isize;
 
 /// Full linear cross-correlation of `a` and `b`, path chosen by input
 /// size ([`XcorrPath::Auto`]).
@@ -323,23 +290,15 @@ pub fn estimate_delay_with(
             let window = bounded_window_fft(delayed, reference, lag_lo, lag_hi);
             lag_lo + stats::argmax(&window).expect("window is non-empty") as isize
         }
-        LagSearch::CoarseToFine => {
-            thrubarrier_obs::counter!("dsp.estimate_delay.path.coarse_fine").incr();
-            coarse_to_fine_lag(delayed, reference, lag_lo, lag_hi)
-        }
         LagSearch::Auto => unreachable!("Auto resolved above"),
     };
     Ok(lag)
 }
 
-/// Measured size heuristic for [`LagSearch::Auto`].
-///
-/// Auto only ever picks between the two *exact* searches. Coarse-to-fine
-/// is faster still (0.47 ms vs 1.3 ms at the 1 s sync shape) but is an
-/// approximation on near-tied and flat correlation surfaces — selecting
-/// it by size alone measurably shifted downstream detection scores on
-/// the eval corpus (see [`LagSearch::CoarseToFine`]) — so it stays a
-/// caller decision rather than a size decision.
+/// Measured size heuristic for [`LagSearch::Auto`]: picks between the
+/// two exact searches. (A decimate-then-refine search was tried and
+/// dropped: on near-tied and flat correlation surfaces it moved the
+/// argmax and shifted downstream detection scores on the eval corpus.)
 fn choose_lag_search(n: usize, m: usize, window: usize) -> LagSearch {
     let short = n.min(m);
     if window.saturating_mul(short) <= LAG_TIME_MAX_MACS {
@@ -379,36 +338,6 @@ fn bounded_window_fft(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> Vec
     (lag_lo..=lag_hi)
         .map(|lag| circ[lag.rem_euclid(n_fft as isize) as usize])
         .collect()
-}
-
-/// Coarse-to-fine bounded-lag search: boxcar-decimate both signals by
-/// [`COARSE_DECIMATION`], locate the peak at the low rate with the
-/// bounded FFT window, then rescan `±`[`REFINE_RADIUS`] full-rate lags
-/// around the scaled-up coarse estimate with exact dot products.
-fn coarse_to_fine_lag(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> isize {
-    let d = COARSE_DECIMATION as isize;
-    let ca = resample::decimate_boxcar(a, COARSE_DECIMATION).expect("factor is non-zero");
-    let cb = resample::decimate_boxcar(b, COARSE_DECIMATION).expect("factor is non-zero");
-    // One coarse lag of slack on each side covers the rounding of the
-    // window bounds to the coarse grid.
-    let c_lo = (lag_lo.div_euclid(d) - 1).max(-(cb.len() as isize - 1));
-    let c_hi = (lag_hi.div_euclid(d) + 2).min(ca.len() as isize - 1);
-    let coarse = {
-        let _span = thrubarrier_obs::span!("dsp.estimate_delay.coarse");
-        let window = bounded_window_fft(&ca, &cb, c_lo, c_hi);
-        (c_lo + stats::argmax(&window).expect("window is non-empty") as isize) * d
-    };
-    let _span = thrubarrier_obs::span!("dsp.estimate_delay.refine");
-    let r_lo = (coarse - REFINE_RADIUS).clamp(lag_lo, lag_hi);
-    let r_hi = (coarse + REFINE_RADIUS).clamp(lag_lo, lag_hi);
-    let window = bounded_window_time(a, b, r_lo, r_hi);
-    let best = r_lo + stats::argmax(&window).expect("window is non-empty") as isize;
-    // How far the exact peak sat from the coarse estimate; values at the
-    // histogram's top bucket (== REFINE_RADIUS) mean the refinement
-    // window may be clipping real peaks.
-    thrubarrier_obs::histogram!("dsp.estimate_delay.refine_shift")
-        .record((best - coarse).unsigned_abs() as u64);
-    best
 }
 
 /// Removes the first `delay` samples if positive, or prepends zeros if
@@ -519,12 +448,8 @@ mod tests {
         XcorrPath::OverlapSave,
     ];
 
-    const ALL_LAG_SEARCHES: [LagSearch; 4] = [
-        LagSearch::Auto,
-        LagSearch::TimeDomain,
-        LagSearch::Fft,
-        LagSearch::CoarseToFine,
-    ];
+    const ALL_LAG_SEARCHES: [LagSearch; 3] =
+        [LagSearch::Auto, LagSearch::TimeDomain, LagSearch::Fft];
 
     #[test]
     fn cross_correlation_matches_naive_on_every_path() {
@@ -664,8 +589,6 @@ mod tests {
         assert_eq!(choose_xcorr_path(16_000, 16_000), XcorrPath::Fft);
         assert_eq!(choose_lag_search(500, 500, 64), LagSearch::TimeDomain);
         assert_eq!(choose_lag_search(4_000, 4_000, 2_048), LagSearch::Fft);
-        // Auto never trades exactness for speed: the big-input case stays
-        // on the exact FFT window, not coarse-to-fine.
         assert_eq!(choose_lag_search(16_000, 16_000, 8_001), LagSearch::Fft);
     }
 

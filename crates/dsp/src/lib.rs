@@ -17,7 +17,7 @@
 //!   the "without" path models the aliasing behaviour of wearable
 //!   accelerometers),
 //! * a cross-correlation engine with size-selected time-domain / FFT /
-//!   overlap-save paths, bounded-lag coarse-to-fine delay estimation,
+//!   overlap-save paths, bounded-lag delay estimation,
 //!   and the 2-D Pearson correlation used by the paper's attack
 //!   detector ([`correlate`]),
 //! * descriptive statistics including the third-quartile estimator used by

@@ -65,38 +65,6 @@ pub fn decimate(signal: &[f32], factor: usize, sample_rate: u32) -> Result<Vec<f
     Ok(filtered.iter().step_by(factor).copied().collect())
 }
 
-/// Decimates by an integer factor with **boxcar** anti-aliasing: each
-/// output sample is the mean of one length-`factor` input block (the
-/// final partial block averages over its actual length). `O(N)` with no
-/// filter design, which is why the coarse pass of the correlation
-/// engine's decimate-then-refine lag search uses it: a moving average's
-/// first spectral null sits at `sample_rate / factor`, enough aliasing
-/// suppression for a correlation *peak search* (the subsequent full-rate
-/// refinement is exact, so coarse-pass spectral leakage cannot bias the
-/// returned lag) — not for signal-path resampling, which should go
-/// through [`decimate`].
-///
-/// Block boundaries start at sample 0, so two signals decimated with the
-/// same factor keep their relative timing to within one output sample.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidFilterParameter`] if `factor` is zero.
-pub fn decimate_boxcar(signal: &[f32], factor: usize) -> Result<Vec<f32>, DspError> {
-    if factor == 0 {
-        return Err(DspError::InvalidFilterParameter(
-            "decimation factor must be >= 1".into(),
-        ));
-    }
-    if factor == 1 {
-        return Ok(signal.to_vec());
-    }
-    Ok(signal
-        .chunks(factor)
-        .map(|block| block.iter().sum::<f32>() / block.len() as f32)
-        .collect())
-}
-
 /// Linear-interpolation resampling to an arbitrary target rate. Used for
 /// aligning recordings from devices with slightly different clocks.
 ///
@@ -187,33 +155,12 @@ mod tests {
         let sig = vec![1.0, 2.0, 3.0];
         assert_eq!(decimate(&sig, 1, 100).unwrap(), sig);
         assert_eq!(decimate_aliased(&sig, 1).unwrap(), sig);
-        assert_eq!(decimate_boxcar(&sig, 1).unwrap(), sig);
     }
 
     #[test]
     fn zero_factor_is_rejected() {
         assert!(decimate_aliased(&[1.0], 0).is_err());
         assert!(decimate(&[1.0], 0, 100).is_err());
-        assert!(decimate_boxcar(&[1.0], 0).is_err());
-    }
-
-    #[test]
-    fn boxcar_decimation_averages_blocks() {
-        let sig = vec![1.0, 3.0, 5.0, 7.0, 10.0];
-        // Two full blocks of 2 plus a partial block of 1.
-        assert_eq!(decimate_boxcar(&sig, 2).unwrap(), vec![2.0, 6.0, 10.0]);
-    }
-
-    #[test]
-    fn boxcar_decimation_attenuates_above_output_nyquist() {
-        // A tone near the boxcar's first null (fs / factor) should be
-        // strongly attenuated; an in-band tone should pass.
-        let hi = gen::sine(2_000.0, 1.0, 16_000, 1.0);
-        let lo = gen::sine(60.0, 1.0, 16_000, 1.0);
-        let hi_out = decimate_boxcar(&hi, 8).unwrap();
-        let lo_out = decimate_boxcar(&lo, 8).unwrap();
-        assert!(stats::rms(&hi_out) < 0.1, "rms {}", stats::rms(&hi_out));
-        assert!(stats::rms(&lo_out) > 0.6, "rms {}", stats::rms(&lo_out));
     }
 
     #[test]

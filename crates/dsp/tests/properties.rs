@@ -187,7 +187,6 @@ proptest! {
             correlate::LagSearch::Auto,
             correlate::LagSearch::TimeDomain,
             correlate::LagSearch::Fft,
-            correlate::LagSearch::CoarseToFine,
         ] {
             let est =
                 correlate::estimate_delay_with(&reference, &delayed, max_lag, search).unwrap();

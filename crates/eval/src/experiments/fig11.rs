@@ -267,6 +267,19 @@ mod tests {
     }
 
     #[test]
+    fn fig11c_sweeps_three_distances() {
+        let cfg = tiny_cfg();
+        let panel = run_fig11c(&cfg, Arc::new(EnergySelector::default()));
+        assert_eq!(panel.series.len(), 4);
+        for s in &panel.series {
+            assert_eq!(s.points.len(), 3);
+            assert!(s.points.iter().all(|(_, e)| (0.0..=1.0).contains(e)));
+        }
+        let text = panel.render_text();
+        assert!(["3m", "4m", "5m"].iter().all(|d| text.contains(d)));
+    }
+
+    #[test]
     fn fig11d_covers_four_rooms() {
         let cfg = tiny_cfg();
         let panel = run_fig11d(&cfg, Arc::new(EnergySelector::default()));

@@ -60,14 +60,12 @@ pub fn run(cfg: &BarrierEffectConfig) -> VibrationEffectStudy {
                     through_barrier: false,
                     distance_m: 0.5,
                     loudspeaker: Some(speaker_device),
-                    render: Default::default(),
                 };
                 let after_path = AcousticPath {
                     room: room.clone(),
                     through_barrier: true,
                     distance_m: 2.0,
                     loudspeaker: Some(speaker_device),
-                    render: Default::default(),
                 };
                 let before = before_path.record(&calibrated, fs, &mic, &mut rng);
                 let after = after_path.record(&calibrated, fs, &mic, &mut rng);

@@ -104,14 +104,12 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
                 through_barrier: false,
                 distance_m: 2.0,
                 loudspeaker: Some(speaker_device),
-                render: Default::default(),
             };
             let barrier_path = AcousticPath {
                 room: room.clone(),
                 through_barrier: true,
                 distance_m: 2.0,
                 loudspeaker: Some(speaker_device),
-                render: Default::default(),
             };
             let clear = clear_path.record(&calibrated, fs, &mic, &mut rng);
             let through = barrier_path.record(&calibrated, fs, &mic, &mut rng);

@@ -140,7 +140,6 @@ pub fn run(cfg: &AttackStudyConfig) -> AttackStudy {
                             through_barrier: true,
                             distance_m: cfg.distance_m,
                             loudspeaker: sound.needs_loudspeaker.then_some(generator.loudspeaker),
-                            render: Default::default(),
                         };
                         let incident = {
                             let mut sig = path.transmit_positioned(&source, fs, &mut rng);

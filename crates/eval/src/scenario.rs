@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use thrubarrier_acoustics::engine::RenderPath;
 use thrubarrier_acoustics::loudspeaker::Loudspeaker;
 use thrubarrier_acoustics::mic::Microphone;
 use thrubarrier_acoustics::propagation::speech_gain_for_spl;
@@ -77,7 +76,6 @@ pub struct TrialGenerator {
     attacks: AttackGenerator,
     va_mic: Microphone,
     wearable_mic: Microphone,
-    render: RenderPath,
 }
 
 impl Default for TrialGenerator {
@@ -96,16 +94,7 @@ impl TrialGenerator {
             attacks: AttackGenerator::new(AUDIO_RATE),
             va_mic: Microphone::phone(),
             wearable_mic: Microphone::wearable(),
-            render: RenderPath::default(),
         }
-    }
-
-    /// The same generator with an explicit acoustic rendering
-    /// implementation for every trial's propagation (parity tests pin
-    /// [`RenderPath::Staged`]).
-    pub fn with_render(mut self, render: RenderPath) -> Self {
-        self.render = render;
-        self
     }
 
     /// The synthesizer used for command audio.
@@ -158,10 +147,8 @@ impl TrialGenerator {
         let source: Vec<f32> = utterance.iter().map(|&v| v * gain).collect();
         let (va, wearable) = self.record_pair(
             &source,
-            AcousticPath::direct(settings.room.clone(), settings.user_to_va_m)
-                .with_render(self.render),
-            AcousticPath::direct(settings.room.clone(), settings.mouth_to_wearable_m)
-                .with_render(self.render),
+            AcousticPath::direct(settings.room.clone(), settings.user_to_va_m),
+            AcousticPath::direct(settings.room.clone(), settings.mouth_to_wearable_m),
             rng,
         );
         Trial {
@@ -201,14 +188,12 @@ impl TrialGenerator {
             through_barrier: true,
             distance_m: settings.barrier_to_va_m,
             loudspeaker,
-            render: self.render,
         };
         let wearable_path = AcousticPath {
             room: settings.room.clone(),
             through_barrier: true,
             distance_m: settings.barrier_to_wearable_m,
             loudspeaker,
-            render: self.render,
         };
         let (va, wearable) = self.record_pair(&source, va_path, wearable_path, rng);
         Trial {
@@ -257,13 +242,6 @@ pub struct TrialContext {
 impl TrialContext {
     /// Creates a context with everything derived from one seed.
     pub fn seeded(seed: u64) -> Self {
-        Self::seeded_with_render(seed, RenderPath::default())
-    }
-
-    /// Like [`TrialContext::seeded`] but with an explicit acoustic
-    /// rendering implementation — the fixed-seed fused-vs-staged eval
-    /// gates build one context per [`RenderPath`] from the same seed.
-    pub fn seeded_with_render(seed: u64, render: RenderPath) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let victim = SpeakerProfile::random(&mut rng);
         let adversary = SpeakerProfile::random(&mut rng);
@@ -272,7 +250,7 @@ impl TrialContext {
             settings: TrialSettings::default(),
             victim,
             adversary,
-            generator: TrialGenerator::new().with_render(render),
+            generator: TrialGenerator::new(),
             bank: CommandBank::standard(),
         }
     }

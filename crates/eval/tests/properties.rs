@@ -3,104 +3,6 @@
 use proptest::prelude::*;
 use thrubarrier_eval::metrics::{DetectionMetrics, RocCurve};
 
-/// End-to-end guard for the fused conversion engine: at a fixed seed,
-/// the detection quality (ROC AUC / EER) of a system converting through
-/// the fused path must be indistinguishable from one using the staged
-/// oracle. AUC and EER depend only on the *ordering* of scores, so the
-/// engines' tolerance-level numeric differences must not reorder
-/// legitimate vs attack scores on this workload.
-#[test]
-fn fused_and_staged_conversion_yield_same_roc() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use thrubarrier_attack::AttackKind;
-    use thrubarrier_defense::DefenseSystem;
-    use thrubarrier_eval::scenario::TrialContext;
-    use thrubarrier_vibration::ConversionPath;
-
-    let mut ctx = TrialContext::seeded(0xE2E);
-    let mut trials = Vec::new();
-    for _ in 0..6 {
-        trials.push(ctx.legitimate_trial());
-        trials.push(ctx.attack_trial(AttackKind::Replay));
-        trials.push(ctx.attack_trial(AttackKind::VoiceSynthesis));
-    }
-
-    let mut metrics = Vec::new();
-    for path in [ConversionPath::Fused, ConversionPath::Staged] {
-        let mut sys = DefenseSystem::paper_default();
-        sys.wearable.conversion = path;
-        let mut legit = Vec::new();
-        let mut attack = Vec::new();
-        for (i, t) in trials.iter().enumerate() {
-            // Per-trial seed so both paths score identical inputs with
-            // identical RNG streams.
-            let mut rng = StdRng::seed_from_u64(i as u64);
-            let s = sys.score(&t.va_recording, &t.wearable_recording, &mut rng);
-            if t.is_attack {
-                attack.push(s);
-            } else {
-                legit.push(s);
-            }
-        }
-        metrics.push(DetectionMetrics::from_scores(&legit, &attack));
-    }
-    assert_eq!(metrics[0].auc, metrics[1].auc, "AUC diverged across paths");
-    assert_eq!(metrics[0].eer, metrics[1].eer, "EER diverged across paths");
-}
-
-/// End-to-end guard for the fused scene engine, in the same mold as the
-/// conversion gate above: trials *rendered* through the fused acoustic
-/// path must yield bitwise the same ROC AUC / EER as trials rendered
-/// through the staged oracle at a fixed seed. Unlike the conversion
-/// gate the recordings themselves differ at tolerance level here (the
-/// render happens during trial building), so this pins that those
-/// differences never reorder legitimate vs attack scores.
-#[test]
-fn fused_and_staged_render_yield_same_roc() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use thrubarrier_acoustics::RenderPath;
-    use thrubarrier_attack::AttackKind;
-    use thrubarrier_defense::DefenseSystem;
-    use thrubarrier_eval::scenario::TrialContext;
-
-    let mut metrics = Vec::new();
-    for render in [RenderPath::Fused, RenderPath::Staged] {
-        // Same seed per render path: identical speakers, commands,
-        // sources and physics draws — only the render implementation
-        // differs.
-        let mut ctx = TrialContext::seeded_with_render(0xACE, render);
-        let mut trials = Vec::new();
-        for _ in 0..4 {
-            trials.push(ctx.legitimate_trial());
-            trials.push(ctx.attack_trial(AttackKind::Replay));
-            trials.push(ctx.attack_trial(AttackKind::HiddenVoice));
-        }
-        let sys = DefenseSystem::paper_default();
-        let mut legit = Vec::new();
-        let mut attack = Vec::new();
-        for (i, t) in trials.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(i as u64);
-            let s = sys.score(&t.va_recording, &t.wearable_recording, &mut rng);
-            if t.is_attack {
-                attack.push(s);
-            } else {
-                legit.push(s);
-            }
-        }
-        metrics.push(DetectionMetrics::from_scores(&legit, &attack));
-    }
-    assert_eq!(
-        metrics[0].auc, metrics[1].auc,
-        "AUC diverged across render paths"
-    );
-    assert_eq!(
-        metrics[0].eer, metrics[1].eer,
-        "EER diverged across render paths"
-    );
-}
-
 fn scores() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(0.0f32..1.0, 1..60)
 }

@@ -88,12 +88,6 @@ pub fn tanh_slice(xs: &mut [f32]) {
         unsafe { tanh_slice_avx2(xs) };
         return;
     }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { tanh_slice_neon(xs) };
-        return;
-    }
     for x in xs {
         *x = tanh(*x);
     }
@@ -106,12 +100,6 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { sigmoid_slice_avx2(xs) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { sigmoid_slice_neon(xs) };
         return;
     }
     for x in xs {
@@ -156,12 +144,6 @@ pub fn gates_fused(zs: &mut [f32], hl: usize) {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { gates_fused_avx2(zs, hl) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { gates_fused_neon(zs, hl) };
         return;
     }
     let (sig_lo, rest) = zs.split_at_mut(2 * hl);
@@ -212,43 +194,6 @@ unsafe fn gates_fused_avx2(zs: &mut [f32], hl: usize) {
             // SAFETY: as above.
             unsafe { _mm256_storeu_ps(zs.as_mut_ptr().add(i), y) };
             i += 8;
-        }
-        while i < end {
-            zs[i] = if is_tanh { tanh(zs[i]) } else { sigmoid(zs[i]) };
-            i += 1;
-        }
-    }
-}
-
-/// NEON body of [`gates_fused`]; the four-wide mirror of
-/// [`gates_fused_avx2`], built on [`tanh_lanes_neon`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn gates_fused_neon(zs: &mut [f32], hl: usize) {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32};
-    let half = vdupq_n_f32(0.5);
-    let (b1, b2, n) = (2 * hl, 3 * hl, 4 * hl);
-    let mut i = 0;
-    while i < n {
-        let (end, is_tanh) = if i < b1 {
-            (b1, false)
-        } else if i < b2 {
-            (b2, true)
-        } else {
-            (n, false)
-        };
-        while i + 4 <= end {
-            // SAFETY: `i + 4 <= end <= n == zs.len()`.
-            let x = unsafe { vld1q_f32(zs.as_ptr().add(i)) };
-            let y = if is_tanh {
-                tanh_lanes_neon(x)
-            } else {
-                let t = tanh_lanes_neon(vmulq_f32(half, x));
-                vaddq_f32(vmulq_f32(half, t), half)
-            };
-            // SAFETY: as above.
-            unsafe { vst1q_f32(zs.as_mut_ptr().add(i), y) };
-            i += 4;
         }
         while i < end {
             zs[i] = if is_tanh { tanh(zs[i]) } else { sigmoid(zs[i]) };
@@ -324,70 +269,6 @@ unsafe fn tanh_lanes(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 
     _mm256_div_ps(_mm256_mul_ps(x, p), q)
 }
 
-/// Four-wide [`tanh`] for aarch64: the same clamp, polynomial and
-/// division sequence as the scalar kernel. `vminq`/`vmaxq`/`vmulq`/
-/// `vaddq`/`vdivq` round exactly like their scalar IEEE counterparts
-/// and no fused multiply-add is emitted, so every lane is bitwise
-/// identical to `tanh(x)`.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn tanh_slice_neon(xs: &mut [f32]) {
-    use std::arch::aarch64::{vld1q_f32, vst1q_f32};
-    let mut chunks = xs.chunks_exact_mut(4);
-    for chunk in &mut chunks {
-        // SAFETY: `chunk` is exactly four elements.
-        let x = unsafe { vld1q_f32(chunk.as_ptr()) };
-        let y = tanh_lanes_neon(x);
-        unsafe { vst1q_f32(chunk.as_mut_ptr(), y) };
-    }
-    for x in chunks.into_remainder() {
-        *x = tanh(*x);
-    }
-}
-
-/// Four-wide [`sigmoid`] for aarch64, mirroring the scalar identity
-/// `0.5 * tanh(0.5 * x) + 0.5` op for op.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn sigmoid_slice_neon(xs: &mut [f32]) {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32};
-    let half = vdupq_n_f32(0.5);
-    let mut chunks = xs.chunks_exact_mut(4);
-    for chunk in &mut chunks {
-        // SAFETY: `chunk` is exactly four elements.
-        let x = unsafe { vld1q_f32(chunk.as_ptr()) };
-        let t = tanh_lanes_neon(vmulq_f32(half, x));
-        let y = vaddq_f32(vmulq_f32(half, t), half);
-        unsafe { vst1q_f32(chunk.as_mut_ptr(), y) };
-    }
-    for x in chunks.into_remainder() {
-        *x = sigmoid(*x);
-    }
-}
-
-/// Lane-parallel body of [`tanh`] on NEON; op-for-op the scalar
-/// sequence (separate multiply and add — `vfmaq_f32` would contract
-/// the rounding and break bitwise parity).
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn tanh_lanes_neon(x: std::arch::aarch64::float32x4_t) -> std::arch::aarch64::float32x4_t {
-    use std::arch::aarch64::{vaddq_f32, vdivq_f32, vdupq_n_f32, vmaxq_f32, vminq_f32, vmulq_f32};
-    let x = vminq_f32(vmaxq_f32(x, vdupq_n_f32(-CLAMP)), vdupq_n_f32(CLAMP));
-    let x2 = vmulq_f32(x, x);
-    let mut p = vdupq_n_f32(NUM[0]);
-    for &a in &NUM[1..] {
-        p = vaddq_f32(vmulq_f32(p, x2), vdupq_n_f32(a));
-    }
-    let mut q = vdupq_n_f32(DEN[0]);
-    for &b in &DEN[1..] {
-        q = vaddq_f32(vmulq_f32(q, x2), vdupq_n_f32(b));
-    }
-    vdivq_f32(vmulq_f32(x, p), q)
-}
-
 /// Fused LSTM gate-gradient sweep — the backward mirror of
 /// [`gates_fused`]. One pass over the packed `[i, f, g, o]` row turns
 /// the incoming hidden/cell gradients into the four pre-activation gate
@@ -406,7 +287,7 @@ unsafe fn tanh_lanes_neon(x: std::arch::aarch64::float32x4_t) -> std::arch::aarc
 /// Every arithmetic step is an element-wise IEEE multiply, add or
 /// subtract in exactly the order of the per-gate scalar formulas in the
 /// unfused backward — no fused multiply-add, no cross-lane reduction —
-/// so the scalar, AVX2 and NEON bodies are all bitwise identical to the
+/// so the scalar and AVX2 bodies are bitwise identical to the
 /// reference loop. The fusion buys the same things as the forward
 /// sweep: one dispatch, one pass over the row, and vector-width
 /// evaluation of what the unfused path computes one scalar gate at a
@@ -434,12 +315,6 @@ pub fn lstm_gates_backward_fused(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { lstm_gates_backward_avx2(gates, tanh_c, c_prev, dh, dc, dz, hl) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { lstm_gates_backward_neon(gates, tanh_c, c_prev, dh, dc, dz, hl) };
         return;
     }
     lstm_gates_backward_scalar(gates, tanh_c, c_prev, dh, dc, dz, hl, 0, hl);
@@ -548,67 +423,6 @@ unsafe fn lstm_gates_backward_avx2(
     lstm_gates_backward_scalar(gates, tanh_c, c_prev, dh, dc, dz, hl, k, hl);
 }
 
-/// NEON body of [`lstm_gates_backward_fused`]; the four-wide mirror of
-/// the AVX2 body (separate multiply and add — `vfmaq_f32` would
-/// contract the rounding and break bitwise parity).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn lstm_gates_backward_neon(
-    gates: &[f32],
-    tanh_c: &[f32],
-    c_prev: &[f32],
-    dh: &[f32],
-    dc: &mut [f32],
-    dz: &mut [f32],
-    hl: usize,
-) {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32, vsubq_f32};
-    let one = vdupq_n_f32(1.0);
-    let mut k = 0;
-    while k + 4 <= hl {
-        // SAFETY: `k + 4 <= hl` bounds every strided offset below
-        // (`k`, `hl + k`, `2·hl + k`, `3·hl + k`) inside its slice.
-        unsafe {
-            let gi = vld1q_f32(gates.as_ptr().add(k));
-            let gf = vld1q_f32(gates.as_ptr().add(hl + k));
-            let gg = vld1q_f32(gates.as_ptr().add(2 * hl + k));
-            let go = vld1q_f32(gates.as_ptr().add(3 * hl + k));
-            let tc = vld1q_f32(tanh_c.as_ptr().add(k));
-            let cp = vld1q_f32(c_prev.as_ptr().add(k));
-            let dhv = vld1q_f32(dh.as_ptr().add(k));
-            let dcn = vld1q_f32(dc.as_ptr().add(k));
-            let dcv = vaddq_f32(
-                dcn,
-                vmulq_f32(vmulq_f32(dhv, go), vsubq_f32(one, vmulq_f32(tc, tc))),
-            );
-            let d_o = vmulq_f32(dhv, tc);
-            let d_i = vmulq_f32(dcv, gg);
-            let d_f = vmulq_f32(dcv, cp);
-            let d_g = vmulq_f32(dcv, gi);
-            vst1q_f32(
-                dz.as_mut_ptr().add(k),
-                vmulq_f32(vmulq_f32(d_i, gi), vsubq_f32(one, gi)),
-            );
-            vst1q_f32(
-                dz.as_mut_ptr().add(hl + k),
-                vmulq_f32(vmulq_f32(d_f, gf), vsubq_f32(one, gf)),
-            );
-            vst1q_f32(
-                dz.as_mut_ptr().add(2 * hl + k),
-                vmulq_f32(d_g, vsubq_f32(one, vmulq_f32(gg, gg))),
-            );
-            vst1q_f32(
-                dz.as_mut_ptr().add(3 * hl + k),
-                vmulq_f32(vmulq_f32(d_o, go), vsubq_f32(one, go)),
-            );
-            vst1q_f32(dc.as_mut_ptr().add(k), vmulq_f32(dcv, gf));
-        }
-        k += 4;
-    }
-    lstm_gates_backward_scalar(gates, tanh_c, c_prev, dh, dc, dz, hl, k, hl);
-}
-
 /// Fused GRU gate-gradient sweep over a packed `[z, r, n]` gate row —
 /// the GRU counterpart of [`lstm_gates_backward_fused`]:
 ///
@@ -626,7 +440,7 @@ unsafe fn lstm_gates_backward_neon(
 ///   the candidate column is scaled by the reset gate (`3H`).
 ///
 /// Element-wise multiply/add/subtract only, in the unfused loop's exact
-/// order — bitwise identical across the scalar, AVX2 and NEON bodies.
+/// order — bitwise identical across the scalar and AVX2 bodies.
 ///
 /// # Panics
 ///
@@ -650,12 +464,6 @@ pub fn gru_gates_backward_fused(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { gru_gates_backward_avx2(gates, un_h, h_prev, dh, dz, dz_u, hl) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { gru_gates_backward_neon(gates, un_h, h_prev, dh, dz, dz_u, hl) };
         return;
     }
     gru_gates_backward_scalar(gates, un_h, h_prev, dh, dz, dz_u, hl, 0, hl);
@@ -741,52 +549,6 @@ unsafe fn gru_gates_backward_avx2(
             _mm256_storeu_ps(dh.as_mut_ptr().add(k), _mm256_mul_ps(dhv, gz));
         }
         k += 8;
-    }
-    gru_gates_backward_scalar(gates, un_h, h_prev, dh, dz, dz_u, hl, k, hl);
-}
-
-/// NEON body of [`gru_gates_backward_fused`]; the four-wide mirror of
-/// the AVX2 body.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gru_gates_backward_neon(
-    gates: &[f32],
-    un_h: &[f32],
-    h_prev: &[f32],
-    dh: &mut [f32],
-    dz: &mut [f32],
-    dz_u: &mut [f32],
-    hl: usize,
-) {
-    use std::arch::aarch64::{vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32, vsubq_f32};
-    let one = vdupq_n_f32(1.0);
-    let mut k = 0;
-    while k + 4 <= hl {
-        // SAFETY: `k + 4 <= hl` bounds every strided offset below
-        // (`k`, `hl + k`, `2·hl + k`) inside its slice.
-        unsafe {
-            let gz = vld1q_f32(gates.as_ptr().add(k));
-            let grt = vld1q_f32(gates.as_ptr().add(hl + k));
-            let gn = vld1q_f32(gates.as_ptr().add(2 * hl + k));
-            let un = vld1q_f32(un_h.as_ptr().add(k));
-            let hp = vld1q_f32(h_prev.as_ptr().add(k));
-            let dhv = vld1q_f32(dh.as_ptr().add(k));
-            let d_z = vmulq_f32(dhv, vsubq_f32(hp, gn));
-            let d_n = vmulq_f32(dhv, vsubq_f32(one, gz));
-            let dz_pre = vmulq_f32(vmulq_f32(d_z, gz), vsubq_f32(one, gz));
-            let dn_pre = vmulq_f32(d_n, vsubq_f32(one, vmulq_f32(gn, gn)));
-            let d_r = vmulq_f32(dn_pre, un);
-            let dr_pre = vmulq_f32(vmulq_f32(d_r, grt), vsubq_f32(one, grt));
-            vst1q_f32(dz.as_mut_ptr().add(k), dz_pre);
-            vst1q_f32(dz.as_mut_ptr().add(hl + k), dr_pre);
-            vst1q_f32(dz.as_mut_ptr().add(2 * hl + k), dn_pre);
-            vst1q_f32(dz_u.as_mut_ptr().add(k), dz_pre);
-            vst1q_f32(dz_u.as_mut_ptr().add(hl + k), dr_pre);
-            vst1q_f32(dz_u.as_mut_ptr().add(2 * hl + k), vmulq_f32(dn_pre, grt));
-            vst1q_f32(dh.as_mut_ptr().add(k), vmulq_f32(dhv, gz));
-        }
-        k += 4;
     }
     gru_gates_backward_scalar(gates, un_h, h_prev, dh, dz, dz_u, hl, k, hl);
 }

@@ -26,26 +26,6 @@ use std::hash::Hasher;
 
 use crate::matrix::TransposedCache;
 
-/// Which batched BPTT implementation a training step runs.
-///
-/// [`BackwardPath::Fused`] is the production engine: one 4H-wide
-/// gate-gradient sweep per step, register-tiled `dW += dG·Xᵀ` /
-/// `dU += dG·Hᵀ` accumulation, and cached-`Uᵀ`/`Wᵀ` GEMMs for the
-/// hidden/input gradients. [`BackwardPath::Unfused`] is the original
-/// per-gate path, kept as the parity oracle (it is bitwise identical
-/// to the per-sequence sequential backward) and reachable from the
-/// benches and tests. The two differ only by f32 rounding: the fused
-/// path contracts its products to fused multiply-adds and reassociates
-/// nothing else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackwardPath {
-    /// Fused gate sweep + register-tiled gradient GEMMs (default).
-    #[default]
-    Fused,
-    /// Original per-gate backward; the bitwise sequential-parity oracle.
-    Unfused,
-}
-
 /// Length-sorted packed layout of a minibatch of sequences.
 ///
 /// For the packing order see the module docs. Row-major storage:

@@ -127,32 +127,18 @@ impl Dense {
     }
 
     /// Flat-batch backward: `x` holds the `n` cached input rows,
-    /// `dys` the `n` output-gradient rows. Parameter gradients are
-    /// accumulated as one `dW += dYᵀ·X` GEMM plus a bias column sum;
-    /// input gradients land in `dx` (resized to `n x input_size`).
-    pub(crate) fn backward_flat(&mut self, x: &[f32], dys: &[f32], n: usize, dx: &mut Vec<f32>) {
-        self.w.grad.add_tn_product(dys, x, n);
-        let bg = self.b.grad.data_mut();
-        for row in dys.chunks_exact(self.w.value.rows().max(1)) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-        dx.clear();
-        dx.resize(n * self.input_size(), 0.0);
-        self.w.value.matmul_t_to(dys, n, dx);
-    }
-
-    /// Fused-engine variant of [`Dense::backward_flat`]: the weight
-    /// gradient accumulates through the register-tiled
-    /// [`Matrix::add_tn_product_fused`] (within-fma-rounding of the
-    /// unfused GEMM), the bias sum is unchanged, and the input
+    /// `dys` the `n` output-gradient rows; input gradients land in `dx`
+    /// (resized to `n x input_size`). The weight gradient accumulates
+    /// through the register-tiled [`Matrix::add_tn_product_fused`]
+    /// (within-fma-rounding of the plain `dW += dYᵀ·X` GEMM), the bias
+    /// is a column sum, and the input
     /// gradients run as one `dX = Wᵀ·dY` GEMM over a cached transpose
     /// keyed by the weight's version ticket (rebuilt only after an
     /// optimizer step). The head's `Wᵀ` is a tall narrow matrix, so the
     /// GEMM takes the column-streaming narrow path, whose per-element
-    /// plain fold matches [`Matrix::matmul_t_to`]'s accumulation order
-    /// — input gradients are bitwise identical to the unfused path.
+    /// plain fold matches a row-by-row `Wᵀ·dY` product's accumulation
+    /// order — input gradients are bitwise identical to the unfused
+    /// oracle in the tests.
     pub(crate) fn backward_flat_fused(
         &mut self,
         x: &[f32],
@@ -185,6 +171,34 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The unfused flat-batch backward: plain `dW += dYᵀ·X` and
+    /// `dX = Wᵀ·dY` products. The parity oracle for
+    /// [`Dense::backward_flat_fused`].
+    impl Dense {
+        /// Flat-batch backward: `x` holds the `n` cached input rows,
+        /// `dys` the `n` output-gradient rows. Parameter gradients are
+        /// accumulated as one `dW += dYᵀ·X` GEMM plus a bias column sum;
+        /// input gradients land in `dx` (resized to `n x input_size`).
+        pub(crate) fn backward_flat(
+            &mut self,
+            x: &[f32],
+            dys: &[f32],
+            n: usize,
+            dx: &mut Vec<f32>,
+        ) {
+            self.w.grad.add_tn_product(dys, x, n);
+            let bg = self.b.grad.data_mut();
+            for row in dys.chunks_exact(self.w.value.rows().max(1)) {
+                for (slot, &d) in bg.iter_mut().zip(row) {
+                    *slot += d;
+                }
+            }
+            dx.clear();
+            dx.resize(n * self.input_size(), 0.0);
+            self.w.value.matmul_t_to(dys, n, dx);
+        }
+    }
 
     #[test]
     fn forward_shapes() {

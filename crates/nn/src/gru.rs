@@ -15,7 +15,7 @@
 //! matrix differs from the `W`-side one.
 
 use crate::act::{gru_gates_backward_fused, sigmoid, sigmoid_slice, tanh, tanh_slice};
-use crate::batch::{BackwardPath, BatchWorkspace, DirCache, PackedBatch};
+use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{pack_rows, GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -248,7 +248,7 @@ impl Gru {
     /// and the input projections come from the epoch-persistent
     /// `dir.proj` cache. Hidden states are *added* into `out[seq][t]`
     /// (index-reversed when `reversed`); activations are cached in
-    /// `dir` for [`Gru::backward_batch_dir`].
+    /// `dir` for [`Gru::backward_batch_dir_fused`].
     pub(crate) fn forward_batch_dir(
         &self,
         pack: &PackedBatch,
@@ -408,91 +408,8 @@ impl Gru {
         }
     }
 
-    /// Batched BPTT over a packed minibatch; `dhs[i]` is caller
-    /// sequence `i`'s flat output gradient (`len_i x H` row-major,
-    /// natural time order). Accumulates parameter gradients only —
-    /// input gradients are skipped as in
-    /// [`crate::lstm::Lstm::backward_batch_dir`].
-    pub(crate) fn backward_batch_dir(
-        &mut self,
-        pack: &PackedBatch,
-        dir: &DirCache,
-        reversed: bool,
-        dhs: &[&[f32]],
-        scratch: &mut GemmScratch,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 3 * hl;
-        let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch {
-            dz, dz_u, bh, bc, ..
-        } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
-        dz_u.clear();
-        dz_u.resize(total * gr, 0.0);
-        // bh holds dh_next rows (zero for sequences joining the reverse
-        // traversal at their final step), bc the Uᵀ·dU temporaries.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        for t in (0..pack.max_len()).rev() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            for b in 0..nb {
-                let r = off + b;
-                let gates = &dir.gates[r * gr..(r + 1) * gr];
-                let (gz, grt, gn) = (&gates[..hl], &gates[hl..2 * hl], &gates[2 * hl..]);
-                let h_prev = &dir.h_prev[r * hl..(r + 1) * hl];
-                let un_h = &dir.aux[r * hl..(r + 1) * hl];
-                let dz_t = &mut dz[r * gr..(r + 1) * gr];
-                let du_t = &mut dz_u[r * gr..(r + 1) * gr];
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
-                let dh_next = &mut bh[b * hl..(b + 1) * hl];
-                for k in 0..hl {
-                    let dh = dh_seq[k] + dh_next[k];
-                    let d_z = dh * (h_prev[k] - gn[k]);
-                    let d_n = dh * (1.0 - gz[k]);
-                    let dz_pre = d_z * gz[k] * (1.0 - gz[k]);
-                    let dn_pre = d_n * (1.0 - gn[k] * gn[k]);
-                    let d_r = dn_pre * un_h[k];
-                    let dr_pre = d_r * grt[k] * (1.0 - grt[k]);
-                    dz_t[k] = dz_pre;
-                    dz_t[hl + k] = dr_pre;
-                    dz_t[2 * hl + k] = dn_pre;
-                    du_t[k] = dz_pre;
-                    du_t[hl + k] = dr_pre;
-                    du_t[2 * hl + k] = dn_pre * grt[k];
-                    // Direct-path half of dh_next; the Uᵀ half joins
-                    // after the step's transposed GEMM below.
-                    dh_next[k] = dh * gz[k];
-                }
-            }
-            self.u
-                .value
-                .matmul_t_to(&dz_u[off * gr..(off + nb) * gr], nb, &mut bc[..nb * hl]);
-            for (slot, &d) in bh[..nb * hl].iter_mut().zip(&bc[..nb * hl]) {
-                *slot += d;
-            }
-        }
-        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product(dz_u, &dir.h_prev, total);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(gr) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-    }
-
-    /// Fused-engine twin of [`Gru::backward_batch_dir`], the GRU half
+    /// Batched BPTT over a packed minibatch (`dhs` as in
+    /// [`crate::lstm::Lstm::backward_batch_dir_fused`]), the GRU half
     /// of the register-tiled batched backward engine (see
     /// [`crate::lstm::Lstm::backward_batch_dir_fused`] for the staging
     /// story). Per reverse step it runs one 3H-wide
@@ -756,32 +673,18 @@ impl BiGru {
     /// Batched BPTT through both directions; `dhs[i]` is caller
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiGru::forward_batch`] on the same workspace.
-    /// `path` selects the fused engine
-    /// ([`Gru::backward_batch_dir_fused`]) or the unfused parity
-    /// oracle; per-engine path counters mirror the
-    /// `acoustics.render.path.*` convention.
+    /// Runs [`Gru::backward_batch_dir_fused`] in each direction.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
         dhs: &[&[f32]],
         scratch: &mut GemmScratch,
-        path: BackwardPath,
     ) {
         let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        match path {
-            BackwardPath::Fused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.fused").incr();
-                self.fwd
-                    .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
-                self.bwd
-                    .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
-            }
-            BackwardPath::Unfused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.unfused").incr();
-                self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
-                self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
-            }
-        }
+        self.fwd
+            .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
+        self.bwd
+            .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
     }
 
     /// All trainable parameters of both directions.
@@ -796,6 +699,109 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The unfused batched BPTT: the original per-gate backward in each
+    /// direction, bitwise identical to the per-sequence backward. The
+    /// parity oracle for the fused engine of [`BiGru::backward_batch`].
+    impl Gru {
+        /// Batched BPTT over a packed minibatch; `dhs[i]` is caller
+        /// sequence `i`'s flat output gradient (`len_i x H` row-major,
+        /// natural time order). Accumulates parameter gradients only —
+        /// input gradients are skipped as in
+        /// [`crate::lstm::Lstm::backward_batch_dir`].
+        fn backward_batch_dir(
+            &mut self,
+            pack: &PackedBatch,
+            dir: &DirCache,
+            reversed: bool,
+            dhs: &[&[f32]],
+            scratch: &mut GemmScratch,
+        ) {
+            let hl = self.hidden_size;
+            let gr = 3 * hl;
+            let total = pack.total_rows();
+            let nb0 = if pack.max_len() == 0 {
+                0
+            } else {
+                pack.active(0)
+            };
+            let GemmScratch {
+                dz, dz_u, bh, bc, ..
+            } = scratch;
+            dz.clear();
+            dz.resize(total * gr, 0.0);
+            dz_u.clear();
+            dz_u.resize(total * gr, 0.0);
+            // bh holds dh_next rows (zero for sequences joining the reverse
+            // traversal at their final step), bc the Uᵀ·dU temporaries.
+            bh.clear();
+            bh.resize(nb0 * hl, 0.0);
+            bc.clear();
+            bc.resize(nb0 * hl, 0.0);
+            for t in (0..pack.max_len()).rev() {
+                let nb = pack.active(t);
+                let off = pack.offset(t);
+                for b in 0..nb {
+                    let r = off + b;
+                    let gates = &dir.gates[r * gr..(r + 1) * gr];
+                    let (gz, grt, gn) = (&gates[..hl], &gates[hl..2 * hl], &gates[2 * hl..]);
+                    let h_prev = &dir.h_prev[r * hl..(r + 1) * hl];
+                    let un_h = &dir.aux[r * hl..(r + 1) * hl];
+                    let dz_t = &mut dz[r * gr..(r + 1) * gr];
+                    let du_t = &mut dz_u[r * gr..(r + 1) * gr];
+                    let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
+                    let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
+                    let dh_next = &mut bh[b * hl..(b + 1) * hl];
+                    for k in 0..hl {
+                        let dh = dh_seq[k] + dh_next[k];
+                        let d_z = dh * (h_prev[k] - gn[k]);
+                        let d_n = dh * (1.0 - gz[k]);
+                        let dz_pre = d_z * gz[k] * (1.0 - gz[k]);
+                        let dn_pre = d_n * (1.0 - gn[k] * gn[k]);
+                        let d_r = dn_pre * un_h[k];
+                        let dr_pre = d_r * grt[k] * (1.0 - grt[k]);
+                        dz_t[k] = dz_pre;
+                        dz_t[hl + k] = dr_pre;
+                        dz_t[2 * hl + k] = dn_pre;
+                        du_t[k] = dz_pre;
+                        du_t[hl + k] = dr_pre;
+                        du_t[2 * hl + k] = dn_pre * grt[k];
+                        // Direct-path half of dh_next; the Uᵀ half joins
+                        // after the step's transposed GEMM below.
+                        dh_next[k] = dh * gz[k];
+                    }
+                }
+                self.u
+                    .value
+                    .matmul_t_to(&dz_u[off * gr..(off + nb) * gr], nb, &mut bc[..nb * hl]);
+                for (slot, &d) in bh[..nb * hl].iter_mut().zip(&bc[..nb * hl]) {
+                    *slot += d;
+                }
+            }
+            self.w.grad.add_tn_product(dz, pack.x(reversed), total);
+            self.u.grad.add_tn_product(dz_u, &dir.h_prev, total);
+            let bg = self.b.grad.data_mut();
+            for row in dz.chunks_exact(gr) {
+                for (slot, &d) in bg.iter_mut().zip(row) {
+                    *slot += d;
+                }
+            }
+        }
+    }
+
+    impl BiGru {
+        /// [`BiGru::backward_batch`] through the unfused oracle.
+        pub(crate) fn backward_batch_unfused(
+            &mut self,
+            ws: &mut BatchWorkspace,
+            dhs: &[&[f32]],
+            scratch: &mut GemmScratch,
+        ) {
+            let BatchWorkspace { pack, fwd, bwd, .. } = ws;
+            self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
+            self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
+        }
+    }
 
     fn toy_inputs(t_len: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1034,13 +1040,17 @@ mod tests {
             seq_model.backward(&cache, &dhs);
         }
 
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
+        for path in ["unfused", "fused"] {
             let mut bat_model = bi.clone();
             let mut ws = BatchWorkspace::new();
             bat_model.forward_batch(&refs, &mut ws, &mut scratch);
             let flat: Vec<Vec<f32>> = seqs.iter().map(|s| vec![1.0f32; s.len() * h]).collect();
             let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-            bat_model.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            if path == "unfused" {
+                bat_model.backward_batch_unfused(&mut ws, &dhs, &mut scratch);
+            } else {
+                bat_model.backward_batch(&mut ws, &dhs, &mut scratch);
+            }
 
             for (ps, pb) in [
                 (&seq_model.fwd.w, &bat_model.fwd.w),
@@ -1053,7 +1063,7 @@ mod tests {
                 for (a, b) in ps.grad.data().iter().zip(pb.grad.data()) {
                     assert!(
                         (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                        "{path:?}: {a} vs {b}"
+                        "{path}: {a} vs {b}"
                     );
                 }
             }
@@ -1082,12 +1092,16 @@ mod tests {
             .collect();
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
 
-        let run = |path: BackwardPath| {
+        let run = |path: &str| {
             let mut m = bi.clone();
             let mut ws = BatchWorkspace::new();
             let mut scratch = GemmScratch::new();
             m.forward_batch(&refs, &mut ws, &mut scratch);
-            m.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            if path == "unfused" {
+                m.backward_batch_unfused(&mut ws, &dhs, &mut scratch);
+            } else {
+                m.backward_batch(&mut ws, &dhs, &mut scratch);
+            }
             [
                 m.fwd.w.grad.data().to_vec(),
                 m.fwd.u.grad.data().to_vec(),
@@ -1097,8 +1111,8 @@ mod tests {
                 m.bwd.b.grad.data().to_vec(),
             ]
         };
-        let unfused = run(BackwardPath::Unfused);
-        let fused = run(BackwardPath::Fused);
+        let unfused = run("unfused");
+        let fused = run("fused");
         for (name, (gu, gf)) in ["fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b"]
             .iter()
             .zip(unfused.iter().zip(&fused))
@@ -1121,8 +1135,8 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let out = bi.forward_batch(&[], &mut ws, &mut scratch);
         assert!(out.is_empty());
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Unfused);
+        bi.backward_batch(&mut ws, &[], &mut scratch);
+        bi.backward_batch_unfused(&mut ws, &[], &mut scratch);
         for p in bi.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }

@@ -28,7 +28,7 @@
 //! skips the activation caches entirely.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
-use crate::batch::{BackwardPath, BatchWorkspace, DirCache, PackedBatch};
+use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{pack_rows, GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -426,7 +426,7 @@ impl Lstm {
     /// cache of [`Lstm::fill_proj`]. Hidden states are *added* into
     /// `out[seq][t]` (index-reversed when `reversed`); per-row
     /// activations go through the same [`lstm_cell`] as the sequential
-    /// path and are cached in `dir` for [`Lstm::backward_batch_dir`].
+    /// path and are cached in `dir` for [`Lstm::backward_batch_dir_fused`].
     ///
     /// Every row of every step on the wide GEMM path (>= 32 columns) is
     /// bitwise identical to the per-sequence engine: the projection
@@ -588,89 +588,11 @@ impl Lstm {
 
     /// Batched BPTT over a packed minibatch. `dhs[i]` is caller
     /// sequence `i`'s flat output gradient, `len_i x H` row-major in
-    /// natural time order. Parameter gradients are accumulated into
-    /// `self.{w,u,b}.grad` as three GEMMs over all packed rows.
-    ///
-    /// Unlike [`Lstm::backward_with_scratch`] this does not return
-    /// input gradients: the classifier's inputs are data, so skipping
-    /// `dX = dZ·W` saves the input-side GEMM entirely.
-    pub(crate) fn backward_batch_dir(
-        &mut self,
-        pack: &PackedBatch,
-        dir: &DirCache,
-        reversed: bool,
-        dhs: &[&[f32]],
-        scratch: &mut GemmScratch,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 4 * hl;
-        let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch { dz, bh, bc, .. } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
-        // bh/bc hold dh_next/dc_next rows. A sequence joins the reverse
-        // traversal at its own final step, where its rows have never
-        // been written — the zero boundary condition comes for free.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        for t in (0..pack.max_len()).rev() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            for b in 0..nb {
-                let r = off + b;
-                let gates = &dir.gates[r * gr..(r + 1) * gr];
-                let (gi, gf, gg, go) = (
-                    &gates[..hl],
-                    &gates[hl..2 * hl],
-                    &gates[2 * hl..3 * hl],
-                    &gates[3 * hl..],
-                );
-                let tanh_c = &dir.aux[r * hl..(r + 1) * hl];
-                let c_prev = &dir.c_prev[r * hl..(r + 1) * hl];
-                let dz_t = &mut dz[r * gr..(r + 1) * gr];
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
-                let dh_next = &bh[b * hl..(b + 1) * hl];
-                let dc_next = &mut bc[b * hl..(b + 1) * hl];
-                for k in 0..hl {
-                    let dh = dh_seq[k] + dh_next[k];
-                    let dc = dc_next[k] + dh * go[k] * (1.0 - tanh_c[k] * tanh_c[k]);
-                    let d_o = dh * tanh_c[k];
-                    let d_i = dc * gg[k];
-                    let d_f = dc * c_prev[k];
-                    let d_g = dc * gi[k];
-                    dz_t[k] = d_i * gi[k] * (1.0 - gi[k]);
-                    dz_t[hl + k] = d_f * gf[k] * (1.0 - gf[k]);
-                    dz_t[2 * hl + k] = d_g * (1.0 - gg[k] * gg[k]);
-                    dz_t[3 * hl + k] = d_o * go[k] * (1.0 - go[k]);
-                    dc_next[k] = dc * gf[k];
-                }
-            }
-            // dh_next for step t-1, all active rows in one GEMM.
-            self.u
-                .value
-                .matmul_t_to(&dz[off * gr..(off + nb) * gr], nb, &mut bh[..nb * hl]);
-        }
-        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product(dz, &dir.h_prev, total);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(gr) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-    }
-
-    /// Fused-engine variant of [`Lstm::backward_batch_dir`]: the same
-    /// reverse traversal over the packed layout, with every stage on
-    /// the fused kernels —
+    /// natural time order. Parameter gradients accumulate into
+    /// `self.{w,u,b}.grad`; no input gradients are formed (the
+    /// classifier's inputs are data). Against the per-gate reverse
+    /// traversal kept as the test oracle, every stage runs on the fused
+    /// kernels —
     ///
     /// 1. the per-row four-gate gradient loop becomes one 4H-wide
     ///    [`lstm_gates_backward_fused`] sweep (bitwise identical to the
@@ -970,33 +892,20 @@ impl BiLstm {
     /// Batched BPTT through both directions. `dhs[i]` is caller
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiLstm::forward_batch`] on the same workspace.
-    /// Accumulates parameter gradients only (no input gradients — see
-    /// [`Lstm::backward_batch_dir`]). `path` selects the fused engine
-    /// ([`Lstm::backward_batch_dir_fused`]) or the unfused parity
-    /// oracle; per-engine path counters mirror the
-    /// `acoustics.render.path.*` convention.
+    /// Accumulates parameter gradients only (the classifier's inputs
+    /// are data, so no input gradients), through
+    /// [`Lstm::backward_batch_dir_fused`] in each direction.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
         dhs: &[&[f32]],
         scratch: &mut GemmScratch,
-        path: BackwardPath,
     ) {
         let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        match path {
-            BackwardPath::Fused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.fused").incr();
-                self.fwd
-                    .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
-                self.bwd
-                    .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
-            }
-            BackwardPath::Unfused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.unfused").incr();
-                self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
-                self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
-            }
-        }
+        self.fwd
+            .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
+        self.bwd
+            .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
     }
 
     /// All trainable parameters of both directions.
@@ -1011,6 +920,107 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The unfused batched BPTT: the original per-gate backward in each
+    /// direction, bitwise identical to the per-sequence backward. The
+    /// parity oracle for the fused engine of [`BiLstm::backward_batch`].
+    impl Lstm {
+        /// Batched BPTT over a packed minibatch. `dhs[i]` is caller
+        /// sequence `i`'s flat output gradient, `len_i x H` row-major in
+        /// natural time order. Parameter gradients are accumulated into
+        /// `self.{w,u,b}.grad` as three GEMMs over all packed rows.
+        ///
+        /// Unlike [`Lstm::backward_with_scratch`] this does not return
+        /// input gradients: the classifier's inputs are data, so skipping
+        /// `dX = dZ·W` saves the input-side GEMM entirely.
+        fn backward_batch_dir(
+            &mut self,
+            pack: &PackedBatch,
+            dir: &DirCache,
+            reversed: bool,
+            dhs: &[&[f32]],
+            scratch: &mut GemmScratch,
+        ) {
+            let hl = self.hidden_size;
+            let gr = 4 * hl;
+            let total = pack.total_rows();
+            let nb0 = if pack.max_len() == 0 {
+                0
+            } else {
+                pack.active(0)
+            };
+            let GemmScratch { dz, bh, bc, .. } = scratch;
+            dz.clear();
+            dz.resize(total * gr, 0.0);
+            // bh/bc hold dh_next/dc_next rows. A sequence joins the reverse
+            // traversal at its own final step, where its rows have never
+            // been written — the zero boundary condition comes for free.
+            bh.clear();
+            bh.resize(nb0 * hl, 0.0);
+            bc.clear();
+            bc.resize(nb0 * hl, 0.0);
+            for t in (0..pack.max_len()).rev() {
+                let nb = pack.active(t);
+                let off = pack.offset(t);
+                for b in 0..nb {
+                    let r = off + b;
+                    let gates = &dir.gates[r * gr..(r + 1) * gr];
+                    let (gi, gf, gg, go) = (
+                        &gates[..hl],
+                        &gates[hl..2 * hl],
+                        &gates[2 * hl..3 * hl],
+                        &gates[3 * hl..],
+                    );
+                    let tanh_c = &dir.aux[r * hl..(r + 1) * hl];
+                    let c_prev = &dir.c_prev[r * hl..(r + 1) * hl];
+                    let dz_t = &mut dz[r * gr..(r + 1) * gr];
+                    let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
+                    let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
+                    let dh_next = &bh[b * hl..(b + 1) * hl];
+                    let dc_next = &mut bc[b * hl..(b + 1) * hl];
+                    for k in 0..hl {
+                        let dh = dh_seq[k] + dh_next[k];
+                        let dc = dc_next[k] + dh * go[k] * (1.0 - tanh_c[k] * tanh_c[k]);
+                        let d_o = dh * tanh_c[k];
+                        let d_i = dc * gg[k];
+                        let d_f = dc * c_prev[k];
+                        let d_g = dc * gi[k];
+                        dz_t[k] = d_i * gi[k] * (1.0 - gi[k]);
+                        dz_t[hl + k] = d_f * gf[k] * (1.0 - gf[k]);
+                        dz_t[2 * hl + k] = d_g * (1.0 - gg[k] * gg[k]);
+                        dz_t[3 * hl + k] = d_o * go[k] * (1.0 - go[k]);
+                        dc_next[k] = dc * gf[k];
+                    }
+                }
+                // dh_next for step t-1, all active rows in one GEMM.
+                self.u
+                    .value
+                    .matmul_t_to(&dz[off * gr..(off + nb) * gr], nb, &mut bh[..nb * hl]);
+            }
+            self.w.grad.add_tn_product(dz, pack.x(reversed), total);
+            self.u.grad.add_tn_product(dz, &dir.h_prev, total);
+            let bg = self.b.grad.data_mut();
+            for row in dz.chunks_exact(gr) {
+                for (slot, &d) in bg.iter_mut().zip(row) {
+                    *slot += d;
+                }
+            }
+        }
+    }
+
+    impl BiLstm {
+        /// [`BiLstm::backward_batch`] through the unfused oracle.
+        pub(crate) fn backward_batch_unfused(
+            &mut self,
+            ws: &mut BatchWorkspace,
+            dhs: &[&[f32]],
+            scratch: &mut GemmScratch,
+        ) {
+            let BatchWorkspace { pack, fwd, bwd, .. } = ws;
+            self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
+            self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
+        }
+    }
 
     fn toy_inputs(t_len: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1287,13 +1297,17 @@ mod tests {
         // Both engines must reproduce the sequential gradients; the
         // unfused path is the exact oracle, the fused path matches
         // within fma rounding.
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
+        for path in ["unfused", "fused"] {
             let mut bat_model = bi.clone();
             let mut ws = BatchWorkspace::new();
             bat_model.forward_batch(&refs, &mut ws, &mut scratch);
             let flat: Vec<Vec<f32>> = seqs.iter().map(|s| vec![1.0f32; s.len() * h]).collect();
             let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-            bat_model.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            if path == "unfused" {
+                bat_model.backward_batch_unfused(&mut ws, &dhs, &mut scratch);
+            } else {
+                bat_model.backward_batch(&mut ws, &dhs, &mut scratch);
+            }
 
             for (ps, pb) in [
                 (&seq_model.fwd.w, &bat_model.fwd.w),
@@ -1306,7 +1320,7 @@ mod tests {
                 for (a, b) in ps.grad.data().iter().zip(pb.grad.data()) {
                     assert!(
                         (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                        "{path:?}: {a} vs {b}"
+                        "{path}: {a} vs {b}"
                     );
                 }
             }
@@ -1341,11 +1355,15 @@ mod tests {
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
 
         let mut grads = Vec::new();
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
+        for path in ["unfused", "fused"] {
             let mut m = bi.clone();
             let mut ws = BatchWorkspace::new();
             m.forward_batch(&refs, &mut ws, &mut scratch);
-            m.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            if path == "unfused" {
+                m.backward_batch_unfused(&mut ws, &dhs, &mut scratch);
+            } else {
+                m.backward_batch(&mut ws, &dhs, &mut scratch);
+            }
             grads.push(
                 m.params_mut()
                     .iter()
@@ -1402,8 +1420,8 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let refs: Vec<&[Vec<f32>]> = vec![];
         assert!(bi.forward_batch(&refs, &mut ws, &mut scratch).is_empty());
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Unfused);
+        bi.backward_batch(&mut ws, &[], &mut scratch);
+        bi.backward_batch_unfused(&mut ws, &[], &mut scratch);
         let empty: Vec<Vec<f32>> = vec![];
         let one = toy_inputs(2, 2, 400);
         let refs: Vec<&[Vec<f32>]> = vec![&empty, &one];

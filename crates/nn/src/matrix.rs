@@ -39,11 +39,6 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: guarded by the runtime AVX2 check above.
         return unsafe { dot_avx2(a, b) };
     }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        return unsafe { dot_neon(a, b) };
-    }
     dot_scalar(a, b)
 }
 
@@ -121,40 +116,6 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     s + dot_tail(ca.remainder(), cb.remainder())
 }
 
-/// NEON implementation of [`dot`]'s lane semantics: scalar lane
-/// `32i + 4j + k` lives in lane `k` of four-wide accumulator register
-/// `j` (`j < 8`), so the scalar reduction `m[k] = (acc[k] + acc[8+k]) +
-/// (acc[16+k] + acc[24+k])` maps to the register folds `(r0 + r2) +
-/// (r4 + r6)` (lanes 0..4 of `m`) and `(r1 + r3) + (r5 + r7)` (lanes
-/// 4..8). Multiplies and adds stay separate instructions — no
-/// `vfmaq_f32` contraction — so the result is bitwise identical to the
-/// portable path, exactly like the AVX2 kernel above.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vgetq_lane_f32, vld1q_f32, vmulq_f32};
-    let mut acc = [vdupq_n_f32(0.0); 8];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            // SAFETY: `xa`/`xb` are exactly 32 elements, so offsets
-            // `4j..4j + 4` for `j < 8` are in bounds.
-            let va = unsafe { vld1q_f32(xa.as_ptr().add(4 * j)) };
-            let vb = unsafe { vld1q_f32(xb.as_ptr().add(4 * j)) };
-            *slot = vaddq_f32(*slot, vmulq_f32(va, vb));
-        }
-    }
-    let mlo = vaddq_f32(vaddq_f32(acc[0], acc[2]), vaddq_f32(acc[4], acc[6]));
-    let mhi = vaddq_f32(vaddq_f32(acc[1], acc[3]), vaddq_f32(acc[5], acc[7]));
-    let s = ((vgetq_lane_f32::<0>(mlo) + vgetq_lane_f32::<1>(mlo))
-        + (vgetq_lane_f32::<2>(mlo) + vgetq_lane_f32::<3>(mlo)))
-        + ((vgetq_lane_f32::<0>(mhi) + vgetq_lane_f32::<1>(mhi))
-            + (vgetq_lane_f32::<2>(mhi) + vgetq_lane_f32::<3>(mhi)));
-    s + dot_tail(ca.remainder(), cb.remainder())
-}
-
 /// Row loop of a matrix–vector product (`add` selects `out[r] += …`
 /// versus `out[r] = …`), dispatched once per call so the SIMD dot
 /// kernel inlines into the loop instead of being re-entered per row.
@@ -164,12 +125,6 @@ fn matvec_rows(data: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool)
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { matvec_rows_avx2(data, cols, x, out, add) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matvec_rows_neon(data, cols, x, out, add) };
         return;
     }
     for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
@@ -185,17 +140,6 @@ unsafe fn matvec_rows_avx2(data: &[f32], cols: usize, x: &[f32], out: &mut [f32]
     for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
         // SAFETY: the caller established AVX2 support.
         let d = unsafe { dot_avx2(row, x) };
-        *slot = if add { *slot + d } else { d };
-    }
-}
-
-/// NEON instantiation of [`matvec_rows`]'s loop.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matvec_rows_neon(data: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
-        // SAFETY: the caller established NEON support.
-        let d = unsafe { dot_neon(row, x) };
         *slot = if add { *slot + d } else { d };
     }
 }
@@ -229,12 +173,6 @@ fn matmul_nt_rows(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { matmul_nt_rows_avx2(data, rows, cols, x, out, add) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matmul_nt_rows_neon(data, rows, cols, x, out, add) };
         return;
     }
     const ROW_BLOCK: usize = 64;
@@ -645,7 +583,7 @@ fn dot_fused_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Folds the eight per-lane sums of a [`dot_fused_scalar`]-semantics
 /// accumulator (`m[k] = acc[k] + acc[8+k]` already applied) with the
 /// shared pairwise tree, then adds the sequential fused tail.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn fused_tail(mut s: f32, row_tail: &[f32], x_tail: &[f32]) -> f32 {
     for (&xa, &xb) in row_tail.iter().zip(x_tail) {
@@ -920,51 +858,13 @@ unsafe fn dot8_fused_fma(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32],
     }
 }
 
-/// NEON single-row instantiation of [`dot_fused_scalar`]: accumulator
-/// lanes `4j..4j + 4` live in four-wide register `j` (`j < 4`), each
-/// updated with `vfmaq_f32` — the same correctly rounded IEEE fused
-/// multiply-add `f32::mul_add` lowers to on aarch64. The scalar fold
-/// `m[k] = acc[k] + acc[8 + k]` maps to the register adds
-/// `acc0 + acc2` (folded lanes 0..4) and `acc1 + acc3` (folded lanes
-/// 4..8), and the pairwise tree then runs over those eight lanes in the
-/// shared order, so every result is bitwise identical to the portable
-/// kernel — exactly the relationship [`dot_neon`] has with [`dot`].
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn dot1_fused_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vfmaq_f32, vgetq_lane_f32, vld1q_f32};
-    let cols = a.len().min(b.len());
-    let body = cols / 16 * 16;
-    let mut acc = [vdupq_n_f32(0.0); 4];
-    let mut c = 0;
-    while c < body {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            // SAFETY: `c + 16 <= body <= a.len(), b.len()`, so offsets
-            // `c + 4j..c + 4j + 4` for `j < 4` are in bounds.
-            let va = unsafe { vld1q_f32(a.as_ptr().add(c + 4 * j)) };
-            let vb = unsafe { vld1q_f32(b.as_ptr().add(c + 4 * j)) };
-            *slot = vfmaq_f32(*slot, va, vb);
-        }
-        c += 16;
-    }
-    let mlo = vaddq_f32(acc[0], acc[2]);
-    let mhi = vaddq_f32(acc[1], acc[3]);
-    let s = ((vgetq_lane_f32::<0>(mlo) + vgetq_lane_f32::<1>(mlo))
-        + (vgetq_lane_f32::<2>(mlo) + vgetq_lane_f32::<3>(mlo)))
-        + ((vgetq_lane_f32::<0>(mhi) + vgetq_lane_f32::<1>(mhi))
-            + (vgetq_lane_f32::<2>(mhi) + vgetq_lane_f32::<3>(mhi)));
-    fused_tail(s, &a[body..cols], &b[body..cols])
-}
-
 /// Blocked loop of [`Matrix::matmul_nt_fused_to`], mirroring
 /// [`matmul_nt_rows`]'s panel structure with the fused kernels. Narrow
 /// inputs keep the column-streaming layout (its per-element overhead is
 /// already minimal and the fused kernels' 16-lane body never engages);
 /// on x86_64 full eight-row groups take the grouped kernels and
-/// leftovers the single-row ones, all bitwise identical per element;
-/// aarch64 runs the per-row [`dot1_fused_neon`] loop. Other
-/// architectures use the portable [`dot_fused_scalar`].
+/// leftovers the single-row ones, all bitwise identical per element.
+/// Other architectures use the portable [`dot_fused_scalar`].
 #[inline]
 fn matmul_nt_fused_rows(
     data: &[f32],
@@ -1076,12 +976,6 @@ fn matmul_nt_fused_rows(
             return;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matmul_nt_fused_rows_neon(data, rows, cols, x, out, add) };
-        return;
-    }
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + ROW_BLOCK).min(rows);
@@ -1096,70 +990,13 @@ fn matmul_nt_fused_rows(
     }
 }
 
-/// NEON instantiation of [`matmul_nt_fused_rows`]'s fallback loop,
-/// dispatched once per call so [`dot1_fused_neon`] inlines into the
-/// panel walk. Element-for-element bitwise identical to the portable
-/// [`dot_fused_scalar`] path (and therefore to the x86_64 kernels).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_nt_fused_rows_neon(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            for (slot, row) in oi[r0..r1].iter_mut().zip(panel.chunks_exact(cols)) {
-                // SAFETY: the caller established NEON support.
-                let d = unsafe { dot1_fused_neon(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
-/// NEON instantiation of [`matmul_nt_rows`]'s loop.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_nt_rows_neon(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            for (slot, row) in oi[r0..r1].iter_mut().zip(panel.chunks_exact(cols)) {
-                // SAFETY: the caller established NEON support.
-                let d = unsafe { dot_neon(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
 /// Register-tiled fused-FMA gradient accumulation `W += Aᵀ · B` — the
 /// backward counterpart of the fused inference GEMMs. Every output
 /// element `(r, c)` is a plain *sequential* fold over the `n` packed
 /// rows, `acc = fma(a[t·R + r], b[t·C + c], acc)`, finished by a single
 /// `+=` onto the existing value. No element ever crosses a reduction
 /// tree, so the summation order is the per-element time order on every
-/// instruction set: the scalar, AVX2+FMA, AVX-512 and NEON tiles below
+/// instruction set: the scalar, AVX2+FMA and AVX-512 tiles below
 /// assign whole output elements to vector lanes and therefore agree
 /// bitwise. The tiles keep a 4-row block of the accumulator in
 /// registers across the entire time loop, so the gradient matrix is
@@ -1183,12 +1020,6 @@ fn add_tn_rows(w: &mut [f32], rows: usize, cols: usize, a: &[f32], b: &[f32], n:
             unsafe { add_tn_rows_fma(w, rows, cols, a, b, n) };
             return;
         }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { add_tn_rows_neon(w, rows, cols, a, b, n) };
-        return;
     }
     add_tn_rows_scalar(w, rows, cols, a, b, n, 0, rows);
 }
@@ -1520,94 +1351,6 @@ unsafe fn add_tn_rows_avx512(
     }
 }
 
-/// NEON tile of [`add_tn_rows`]: 4 rows × 8 columns in eight four-wide
-/// accumulators (`vfmaq_f32` is a correctly rounded IEEE fma, so lanes
-/// match the portable `mul_add` fold bitwise), narrowing to one 4-wide
-/// vector; sub-4 column tails and row remainders fall back to the
-/// portable scalar fold.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn add_tn_rows_neon(
-    w: &mut [f32],
-    rows: usize,
-    cols: usize,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-) {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
-    let mut r = 0;
-    while r + 4 <= rows {
-        let mut c = 0;
-        while c + 8 <= cols {
-            let mut acc = [vdupq_n_f32(0.0); 8];
-            for t in 0..n {
-                // SAFETY: `t < n`, `c + 8 <= cols` and `r + 4 <= rows`
-                // keep every offset below inside `a`/`b`.
-                unsafe {
-                    let bp = b.as_ptr().add(t * cols + c);
-                    let b0 = vld1q_f32(bp);
-                    let b1 = vld1q_f32(bp.add(4));
-                    let ap = a.as_ptr().add(t * rows + r);
-                    for j in 0..4 {
-                        let av = vdupq_n_f32(*ap.add(j));
-                        acc[2 * j] = vfmaq_f32(acc[2 * j], av, b0);
-                        acc[2 * j + 1] = vfmaq_f32(acc[2 * j + 1], av, b1);
-                    }
-                }
-            }
-            for j in 0..4 {
-                // SAFETY: `(r + j) * cols + c + 8 <= rows * cols`.
-                unsafe {
-                    let wp = w.as_mut_ptr().add((r + j) * cols + c);
-                    vst1q_f32(wp, vaddq_f32(vld1q_f32(wp), acc[2 * j]));
-                    let wp4 = wp.add(4);
-                    vst1q_f32(wp4, vaddq_f32(vld1q_f32(wp4), acc[2 * j + 1]));
-                }
-            }
-            c += 8;
-        }
-        while c + 4 <= cols {
-            let mut acc = [vdupq_n_f32(0.0); 4];
-            for t in 0..n {
-                // SAFETY: `c + 4 <= cols`, `r + 4 <= rows`.
-                unsafe {
-                    let b0 = vld1q_f32(b.as_ptr().add(t * cols + c));
-                    let ap = a.as_ptr().add(t * rows + r);
-                    for (j, slot) in acc.iter_mut().enumerate() {
-                        *slot = vfmaq_f32(*slot, vdupq_n_f32(*ap.add(j)), b0);
-                    }
-                }
-            }
-            for (j, &acc_j) in acc.iter().enumerate() {
-                // SAFETY: `(r + j) * cols + c + 4 <= rows * cols`.
-                unsafe {
-                    let wp = w.as_mut_ptr().add((r + j) * cols + c);
-                    vst1q_f32(wp, vaddq_f32(vld1q_f32(wp), acc_j));
-                }
-            }
-            c += 4;
-        }
-        for c in c..cols {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for t in 0..n {
-                let bv = b[t * cols + c];
-                let ar = &a[t * rows + r..t * rows + r + 4];
-                s0 = ar[0].mul_add(bv, s0);
-                s1 = ar[1].mul_add(bv, s1);
-                s2 = ar[2].mul_add(bv, s2);
-                s3 = ar[3].mul_add(bv, s3);
-            }
-            w[r * cols + c] += s0;
-            w[(r + 1) * cols + c] += s1;
-            w[(r + 2) * cols + c] += s2;
-            w[(r + 3) * cols + c] += s3;
-        }
-        r += 4;
-    }
-    add_tn_rows_scalar(w, rows, cols, a, b, n, r, rows);
-}
-
 /// A dense row-major `f32` matrix.
 ///
 /// # Example
@@ -1866,7 +1609,8 @@ impl Matrix {
     ///
     /// Panics unless `x.len() == n * self.rows()` and
     /// `out.len() == n * self.cols()`.
-    pub fn matmul_t_to(&self, x: &[f32], n: usize, out: &mut [f32]) {
+    #[cfg(test)]
+    pub(crate) fn matmul_t_to(&self, x: &[f32], n: usize, out: &mut [f32]) {
         assert_eq!(x.len(), n * self.rows, "matmul_t dimension mismatch");
         assert_eq!(out.len(), n * self.cols, "matmul_t output length mismatch");
         if self.rows == 0 {
@@ -1947,7 +1691,7 @@ impl Matrix {
     /// fused-multiply-add fold over the `n` packed rows followed by a
     /// single `+=`, so the result differs from the unfused path only by
     /// fma rounding plus one final add per element, and is
-    /// bitwise-identical across the scalar/AVX2/AVX-512/NEON tiles
+    /// bitwise-identical across the scalar/AVX2/AVX-512 tiles
     /// (every lane owns a whole element — no cross-lane reduction
     /// exists to reassociate).
     ///
@@ -2452,7 +2196,7 @@ mod tests {
         // per-element sequential `mul_add` fold exactly on whatever
         // tile the dispatcher picks. Shapes straddle the 4-row block
         // and every column-tile boundary (16/8/masked on AVX2,
-        // 32/16/masked on AVX-512, 8/4/scalar on NEON), include the
+        // 32/16/masked on AVX-512), include the
         // training shapes (256x14, 256x64, 2x128) and the empty batch,
         // and accumulate onto non-zero initial values.
         let mut rng = StdRng::seed_from_u64(21);

@@ -5,7 +5,7 @@
 //! direction in the paper), a dense layer with one neuron per class, and
 //! softmax cross-entropy trained with ADAM.
 
-use crate::batch::{fingerprint_of, BackwardPath, BatchWorkspace};
+use crate::batch::{fingerprint_of, BatchWorkspace};
 use crate::dense::Dense;
 use crate::loss;
 use crate::lstm::BiLstm;
@@ -40,9 +40,6 @@ pub struct BrnnClassifier {
     /// by weight version, see [`crate::batch`]).
     train_ws: HashMap<u64, BatchWorkspace>,
     scratch: GemmScratch,
-    /// Which batched BPTT engine [`BrnnClassifier::train_step`] runs;
-    /// defaults to the fused engine.
-    backward_path: BackwardPath,
     /// Cached `Wᵀ` of the head for the fused input-gradient GEMM,
     /// keyed by the head weight's version ticket.
     head_wt: TransposedCache,
@@ -63,7 +60,6 @@ impl BrnnClassifier {
             step: 0,
             train_ws: HashMap::new(),
             scratch: GemmScratch::new(),
-            backward_path: BackwardPath::default(),
             head_wt: TransposedCache::new(),
         }
     }
@@ -71,18 +67,6 @@ impl BrnnClassifier {
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.head.output_size()
-    }
-
-    /// The batched BPTT engine [`BrnnClassifier::train_step`] runs.
-    pub fn backward_path(&self) -> BackwardPath {
-        self.backward_path
-    }
-
-    /// Selects the batched BPTT engine: the fused default, or the
-    /// unfused parity oracle (bitwise identical to the sequential
-    /// per-utterance backward).
-    pub fn set_backward_path(&mut self, path: BackwardPath) {
-        self.backward_path = path;
     }
 
     /// Number of optimizer steps taken so far.
@@ -185,7 +169,6 @@ impl BrnnClassifier {
                 head,
                 train_ws,
                 scratch,
-                backward_path,
                 head_wt,
                 ..
             } = self;
@@ -228,79 +211,17 @@ impl BrnnClassifier {
             let mut dh_flat = Vec::new();
             {
                 let _bspan = thrubarrier_obs::span!("nn.train.backward");
-                match *backward_path {
-                    BackwardPath::Fused => head.backward_flat_fused(
-                        &hs_flat,
-                        &dl_flat,
-                        n_frames,
-                        &mut dh_flat,
-                        head_wt,
-                    ),
-                    BackwardPath::Unfused => {
-                        head.backward_flat(&hs_flat, &dl_flat, n_frames, &mut dh_flat)
-                    }
-                }
+                head.backward_flat_fused(&hs_flat, &dl_flat, n_frames, &mut dh_flat, head_wt);
                 let mut dhs: Vec<&[f32]> = Vec::with_capacity(batch.len());
                 let mut off = 0usize;
                 for (xs, _) in batch {
                     dhs.push(&dh_flat[off * hl..(off + xs.len()) * hl]);
                     off += xs.len();
                 }
-                rnn.backward_batch(ws, &dhs, scratch, *backward_path);
+                rnn.backward_batch(ws, &dhs, scratch);
             }
             total
         };
-        self.step += 1;
-        let step = self.step;
-        for p in self.rnn.params_mut() {
-            p.adam_step(&cfg.adam, step);
-        }
-        for p in self.head.params_mut() {
-            p.adam_step(&cfg.adam, step);
-        }
-        total * scale
-    }
-
-    /// The pre-minibatch reference implementation of
-    /// [`BrnnClassifier::train_step`]: one sequence at a time through
-    /// the per-utterance engine. Kept as the parity baseline for the
-    /// batched path (tests assert both reach the same loss) and as the
-    /// `pre` side of the training benchmark.
-    pub fn train_step_sequential(
-        &mut self,
-        batch: &[(&[Vec<f32>], &[usize])],
-        cfg: &TrainConfig,
-    ) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        for p in self.rnn.params_mut() {
-            p.zero_grad();
-        }
-        for p in self.head.params_mut() {
-            p.zero_grad();
-        }
-        let mut total = 0.0f32;
-        let scale = 1.0 / batch.len() as f32;
-        let mut scratch = GemmScratch::new();
-        for (xs, ys) in batch {
-            assert_eq!(xs.len(), ys.len(), "sequence/label length mismatch");
-            if xs.is_empty() {
-                continue;
-            }
-            let (hs, rnn_cache) = self.rnn.forward_with_scratch(xs, &mut scratch);
-            let (logits, head_cache) = self.head.forward(&hs);
-            let (l, mut dlogits) = loss::sequence_cross_entropy(&logits, ys);
-            total += l;
-            for frame in &mut dlogits {
-                for d in frame {
-                    *d *= scale;
-                }
-            }
-            let dhs = self.head.backward(&head_cache, &dlogits);
-            self.rnn
-                .backward_with_scratch(&rnn_cache, &dhs, &mut scratch);
-        }
         self.step += 1;
         let step = self.step;
         for p in self.rnn.params_mut() {
@@ -401,7 +322,6 @@ impl BrnnClassifier {
             step: 0,
             train_ws: HashMap::new(),
             scratch: GemmScratch::new(),
-            backward_path: BackwardPath::default(),
             head_wt: TransposedCache::new(),
         })
     }
@@ -427,8 +347,126 @@ impl BrnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Test-only reference training steps the batched fused engine is
+    /// held to.
+    impl BrnnClassifier {
+        /// The pre-minibatch reference implementation of
+        /// [`BrnnClassifier::train_step`]: one sequence at a time through
+        /// the per-utterance engine.
+        fn train_step_sequential(
+            &mut self,
+            batch: &[(&[Vec<f32>], &[usize])],
+            cfg: &TrainConfig,
+        ) -> f32 {
+            if batch.is_empty() {
+                return 0.0;
+            }
+            for p in self.rnn.params_mut() {
+                p.zero_grad();
+            }
+            for p in self.head.params_mut() {
+                p.zero_grad();
+            }
+            let mut total = 0.0f32;
+            let scale = 1.0 / batch.len() as f32;
+            let mut scratch = GemmScratch::new();
+            for (xs, ys) in batch {
+                assert_eq!(xs.len(), ys.len(), "sequence/label length mismatch");
+                if xs.is_empty() {
+                    continue;
+                }
+                let (hs, rnn_cache) = self.rnn.forward_with_scratch(xs, &mut scratch);
+                let (logits, head_cache) = self.head.forward(&hs);
+                let (l, mut dlogits) = loss::sequence_cross_entropy(&logits, ys);
+                total += l;
+                for frame in &mut dlogits {
+                    for d in frame {
+                        *d *= scale;
+                    }
+                }
+                let dhs = self.head.backward(&head_cache, &dlogits);
+                self.rnn
+                    .backward_with_scratch(&rnn_cache, &dhs, &mut scratch);
+            }
+            self.step += 1;
+            let step = self.step;
+            for p in self.rnn.params_mut() {
+                p.adam_step(&cfg.adam, step);
+            }
+            for p in self.head.params_mut() {
+                p.adam_step(&cfg.adam, step);
+            }
+            total * scale
+        }
+
+        /// [`BrnnClassifier::train_step`] with the unfused head and
+        /// BiLSTM backward in place of the fused engine: the same
+        /// packed forward pass and loss, bitwise identical to the
+        /// sequential per-utterance backward.
+        fn train_step_unfused(
+            &mut self,
+            batch: &[(&[Vec<f32>], &[usize])],
+            cfg: &TrainConfig,
+        ) -> f32 {
+            for p in self.rnn.params_mut() {
+                p.zero_grad();
+            }
+            for p in self.head.params_mut() {
+                p.zero_grad();
+            }
+            let scale = 1.0 / batch.len() as f32;
+            let seqs: Vec<&[Vec<f32>]> = batch.iter().map(|(xs, _)| *xs).collect();
+            let mut ws = BatchWorkspace::new();
+            let mut scratch = GemmScratch::new();
+            let hs = self.rnn.forward_batch(&seqs, &mut ws, &mut scratch);
+            let (hl, nc) = (self.rnn.hidden_size(), self.head.output_size());
+            let hs_flat: Vec<f32> = hs.iter().flatten().flatten().copied().collect();
+            let n_frames = hs_flat.len() / hl;
+            let mut logits = Vec::new();
+            self.head.forward_flat(&hs_flat, n_frames, &mut logits);
+            let mut total = 0.0f32;
+            let mut dl_flat = vec![0.0f32; n_frames * nc];
+            let mut row = 0usize;
+            for (xs, ys) in batch {
+                if xs.is_empty() {
+                    continue;
+                }
+                let n = xs.len() as f32;
+                let mut seq_total = 0.0f32;
+                for &y in ys.iter() {
+                    let (l, dl) = loss::softmax_cross_entropy(&logits[row * nc..(row + 1) * nc], y);
+                    seq_total += l;
+                    for (slot, d) in dl_flat[row * nc..(row + 1) * nc].iter_mut().zip(dl) {
+                        *slot = (d / n) * scale;
+                    }
+                    row += 1;
+                }
+                total += seq_total / n;
+            }
+            let mut dh_flat = Vec::new();
+            self.head
+                .backward_flat(&hs_flat, &dl_flat, n_frames, &mut dh_flat);
+            let mut dhs: Vec<&[f32]> = Vec::with_capacity(batch.len());
+            let mut off = 0usize;
+            for (xs, _) in batch {
+                dhs.push(&dh_flat[off * hl..(off + xs.len()) * hl]);
+                off += xs.len();
+            }
+            self.rnn.backward_batch_unfused(&mut ws, &dhs, &mut scratch);
+            self.step += 1;
+            for p in self.rnn.params_mut() {
+                p.adam_step(&cfg.adam, self.step);
+            }
+            for p in self.head.params_mut() {
+                p.adam_step(&cfg.adam, self.step);
+            }
+            total * scale
+        }
+    }
 
     /// Sequences where the label of each frame is decided by feature 0 of
     /// that frame — learnable without temporal context.
@@ -560,16 +598,15 @@ mod tests {
         let cfg = TrainConfig::default();
         let mut seq_model = base.clone();
         let mut bat_model = base.clone();
-        // Pin the unfused oracle so this stays a pure batching-parity
-        // test; the fused engine is pinned against the oracle in
+        // The unfused oracle keeps this a pure batching-parity test;
+        // the fused engine is pinned against the oracle in
         // `fused_and_unfused_training_follow_the_same_loss_curve`.
-        bat_model.set_backward_path(BackwardPath::Unfused);
         let first_seq = seq_model.train_step_sequential(&batch, &cfg);
-        let first_bat = bat_model.train_step(&batch, &cfg);
+        let first_bat = bat_model.train_step_unfused(&batch, &cfg);
         assert_eq!(first_seq.to_bits(), first_bat.to_bits());
         for _ in 0..5 {
             let ls = seq_model.train_step_sequential(&batch, &cfg);
-            let lb = bat_model.train_step(&batch, &cfg);
+            let lb = bat_model.train_step_unfused(&batch, &cfg);
             assert!((ls - lb).abs() < 1e-4 * ls.abs().max(1.0), "{ls} vs {lb}");
         }
     }
@@ -593,14 +630,12 @@ mod tests {
         let cfg = TrainConfig::default();
         let mut fused = base.clone();
         let mut unfused = base.clone();
-        assert_eq!(fused.backward_path(), BackwardPath::Fused, "default path");
-        unfused.set_backward_path(BackwardPath::Unfused);
         let first_f = fused.train_step(&batch, &cfg);
-        let first_u = unfused.train_step(&batch, &cfg);
+        let first_u = unfused.train_step_unfused(&batch, &cfg);
         assert_eq!(first_f.to_bits(), first_u.to_bits());
         for step in 0..8 {
             let lf = fused.train_step(&batch, &cfg);
-            let lu = unfused.train_step(&batch, &cfg);
+            let lu = unfused.train_step_unfused(&batch, &cfg);
             assert!(
                 (lf - lu).abs() < 1e-4 * lu.abs().max(1.0),
                 "step {step}: fused {lf} vs unfused {lu}"
@@ -664,6 +699,53 @@ mod tests {
             let ys = vec![0usize; 3];
             model.train_step(&[(&xs, &ys)], &cfg);
             assert!(model.train_ws.len() <= MAX_TRAIN_WORKSPACES);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One batched `train_step` reaches the same loss as the
+        /// sequential reference path when both start from identical
+        /// weights (fixed seed) and see the same minibatch of
+        /// B ∈ {1, 2, 5, 8} sequences of independently drawn lengths.
+        #[test]
+        fn batched_train_step_loss_matches_sequential(
+            size in 0usize..4,
+            lens in prop::collection::vec(1usize..12, 8),
+            seed in 0u64..1000,
+        ) {
+            let b = [1usize, 2, 5, 8][size];
+            let mut data_rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
+            let seqs: Vec<Vec<Vec<f32>>> = lens[..b]
+                .iter()
+                .map(|&len| {
+                    (0..len)
+                        .map(|_| (0..3).map(|_| data_rng.gen_range(-1.0..1.0)).collect())
+                        .collect()
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut seq_model = BrnnClassifier::new(3, 5, 2, &mut rng);
+            let mut bat_model = seq_model.clone();
+            let labels: Vec<Vec<usize>> = seqs
+                .iter()
+                .map(|s| (0..s.len()).map(|t| t % 2).collect())
+                .collect();
+            let pairs: Vec<(&[Vec<f32>], &[usize])> = seqs
+                .iter()
+                .zip(&labels)
+                .map(|(s, y)| (s.as_slice(), y.as_slice()))
+                .collect();
+            let cfg = TrainConfig::default();
+            let seq_loss = seq_model.train_step_sequential(&pairs, &cfg);
+            let bat_loss = bat_model.train_step(&pairs, &cfg);
+            prop_assert!(
+                (seq_loss - bat_loss).abs() <= 1e-5 * seq_loss.abs().max(bat_loss.abs()).max(1.0),
+                "sequential {} vs batched {}",
+                seq_loss,
+                bat_loss
+            );
         }
     }
 }

@@ -6,8 +6,7 @@ use rand::{Rng, SeedableRng};
 use thrubarrier_nn::gru::BiGru;
 use thrubarrier_nn::loss;
 use thrubarrier_nn::lstm::{BiLstm, Lstm};
-use thrubarrier_nn::model::TrainConfig;
-use thrubarrier_nn::{BackwardPath, BatchWorkspace, BrnnClassifier, GemmScratch, Matrix};
+use thrubarrier_nn::{BatchWorkspace, BrnnClassifier, GemmScratch, Matrix};
 
 fn sequence_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 3), 1..12)
@@ -438,36 +437,6 @@ proptest! {
             }
         }
     }
-
-    /// One batched `train_step` reaches the same loss as the sequential
-    /// reference path when both start from identical weights (fixed
-    /// seed) and see the same minibatch.
-    #[test]
-    fn batched_train_step_loss_matches_sequential(
-        batch in batch_strategy(),
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seq_model = BrnnClassifier::new(3, 5, 2, &mut rng);
-        let mut bat_model = seq_model.clone();
-        let labels: Vec<Vec<usize>> = batch
-            .iter()
-            .map(|s| (0..s.len()).map(|t| t % 2).collect())
-            .collect();
-        let pairs: Vec<(&[Vec<f32>], &[usize])> = batch
-            .iter()
-            .zip(&labels)
-            .map(|(s, y)| (s.as_slice(), y.as_slice()))
-            .collect();
-        let cfg = TrainConfig::default();
-        let seq_loss = seq_model.train_step_sequential(&pairs, &cfg);
-        let bat_loss = bat_model.train_step(&pairs, &cfg);
-        prop_assert!(
-            rel_close(seq_loss, bat_loss),
-            "sequential {} vs batched {}",
-            seq_loss, bat_loss
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -600,7 +569,7 @@ proptest! {
             })
             .collect();
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-        net.backward_batch(&mut ws, &dhs, &mut scratch, BackwardPath::Fused);
+        net.backward_batch(&mut ws, &dhs, &mut scratch);
 
         for pi in 0..6 {
             let grads = bilstm_param(&mut net, pi).grad.data().to_vec();
@@ -652,7 +621,7 @@ proptest! {
             })
             .collect();
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-        net.backward_batch(&mut ws, &dhs, &mut scratch, BackwardPath::Fused);
+        net.backward_batch(&mut ws, &dhs, &mut scratch);
 
         for pi in 0..6 {
             let grads = bigru_param(&mut net, pi).grad.data().to_vec();
@@ -690,9 +659,9 @@ fn fused_backward_accumulates_nothing_on_empty_batch() {
     let mut ws = BatchWorkspace::new();
     let mut scratch = GemmScratch::new();
     lstm.forward_batch(&[], &mut ws, &mut scratch);
-    lstm.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
+    lstm.backward_batch(&mut ws, &[], &mut scratch);
     gru.forward_batch(&[], &mut ws, &mut scratch);
-    gru.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
+    gru.backward_batch(&mut ws, &[], &mut scratch);
     for pi in 0..6 {
         assert!(bilstm_param(&mut lstm, pi)
             .grad

@@ -27,11 +27,11 @@
 //! 5. **Body-motion interference** at 0.3–3.5 Hz ([`motion`]), removed by
 //!    the same crop plus a high-pass filter.
 //!
-//! Production conversions run through the fused single-transform
+//! Conversions run through the fused single-transform
 //! [`engine::ConversionEngine`] (one forward FFT, curve multiplies on the
 //! shared spectrum, Parseval noise metering); the staged per-effect chain
-//! is kept as [`Wearable::convert_staged`], the tolerance-gated parity
-//! oracle.
+//! is a test-only oracle in the engine's unit tests, which gate the two
+//! with tolerance proptests.
 //!
 //! # Example
 //!
@@ -57,5 +57,5 @@ pub mod motion;
 pub mod wearable;
 
 pub use accelerometer::Accelerometer;
-pub use engine::{with_engine, ConversionEngine, ConversionPath};
+pub use engine::{with_engine, ConversionEngine};
 pub use wearable::{Wearable, WearableSpeaker};
