@@ -1,9 +1,10 @@
 //! Fused single-pass acoustic scene-rendering engine.
 //!
-//! Rendered stage by stage, a recording walks **3–4 independent frequency-domain round-trips**:
-//! the loudspeaker band-limit, the barrier transmission curve, the
-//! overlap-save reverb convolution and the microphone gain/roll-off
-//! each run their own forward + inverse FFT over the full signal, with
+//! Rendered stage by stage, a recording walks through **3–4 independent
+//! frequency-domain round-trips**: the loudspeaker band-limit, the
+//! barrier transmission curve, the overlap-save reverb convolution and
+//! the microphone gain/roll-off each run their own forward + inverse
+//! FFT over the full signal, with
 //! a full-size temporary per stage. But everything after the
 //! loudspeaker's tanh soft-clip is LTI, so the whole middle of the
 //! chain is one transfer function:

@@ -162,8 +162,9 @@ fn run_stages(iters: usize) -> SweepResult {
     // picks for this shape (pinned so the figure keeps naming one path
     // even if auto crossovers are retuned), and the `*_time` stages are
     // the exact time-domain paths `Auto` picks for small inputs, which
-    // the speedups are claimed against. The oracles cost ~10^8 multiply-adds per
-    // call, so they run on a reduced iteration budget.
+    // the speedups are claimed against. The time-domain stages cost
+    // ~10^8 multiply-adds per call, so they run on a reduced iteration
+    // budget.
     out.insert(
         "xcorr_1s",
         median_ns(iters, || {
@@ -212,8 +213,9 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // Parity guard: at the 1 s shape the engine's frequency-domain paths
     // (full FFT correlation and the bounded-lag FFT search) must never
-    // lose to the exact time-domain paths on the bench host. Asserted so a path-selection regression fails the bench run
-    // instead of silently recording a bad snapshot. The stage value is
+    // lose to the exact time-domain paths on the bench host. Asserted
+    // so a path-selection regression fails the bench run instead of
+    // silently recording a bad snapshot. The stage value is
     // the full-correlation speedup in thousandths (unitless — the one
     // stage in this file that is not a nanosecond median).
     let (fft_ns, time_ns) = (out["xcorr_1s"], out["xcorr_1s_time"]);
