@@ -126,7 +126,7 @@ impl Accelerometer {
     /// round-trip through a brick-wall curve. The fused engine meters
     /// the same quantity directly from the speaker-weighted spectrum
     /// via Parseval (see `crate::engine`).
-    fn low_band_rms(signal: &[f32], sample_rate: u32, split_hz: f32) -> f32 {
+    pub(crate) fn low_band_rms(signal: &[f32], sample_rate: u32, split_hz: f32) -> f32 {
         let key = response::curve_key(0x4143_435F_4C4F, &[split_hz]);
         let low = response::filter_cached(key, signal, sample_rate, move |f| {
             if f <= split_hz {

@@ -26,9 +26,11 @@
 //! `played` signal back to the input length before re-transforming
 //! (re-zeroing the pad region the combined-curve product keeps), and
 //! because Parseval metering integrates the whole padded block where
-//! the staged chain measures only the truncated samples. The staged
-//! chain lives on as the test-only oracle in this module's tests, which
-//! gate the gap with tolerance proptests.
+//! the staged chain measures only the truncated samples. Recordings that
+//! pad to a block of at most `SHORT_BLOCK` (8) points take the staged
+//! steps instead and match bit for bit. The staged chain lives on as
+//! the test-only oracle in this module's tests, which gate the gap with
+//! tolerance proptests.
 //!
 //! [`ConversionEngine`] owns the spectrum/signal scratch (the
 //! `GemmScratch` pattern), and [`with_engine`] hands out a per-thread
@@ -117,23 +119,30 @@ impl ConversionEngine {
             .response_curve(n, sample_rate)
             .apply_to_spectrum(&mut self.spec);
 
-        // Readout-noise drive, metered on the speaker-weighted spectrum:
-        // the staged chain low-pass-filters the played signal a third
-        // time just to take an RMS; by Parseval that RMS is a weighted
-        // bin-energy sum over the low band.
-        let low_rms = low_band_rms_parseval(
-            &self.spec,
-            n,
-            len,
-            sample_rate,
-            crate::Accelerometer::LOW_BAND_SPLIT_HZ,
-        );
-
         // Time-domain played signal — needed only for the rectification
         // leak's envelope follower.
         self.played.clear();
         fft::real_inverse_into(&self.spec, n, &mut self.played);
         self.played.truncate(len);
+
+        let split_hz = crate::Accelerometer::LOW_BAND_SPLIT_HZ;
+        let low_rms = if len < n && n <= SHORT_BLOCK {
+            // In a block of at most `SHORT_BLOCK` points the speaker
+            // output's circular tail in the zero pad is as large as the
+            // signal itself: the coupling filter would wrap it onto the
+            // first (and only) output sample, and Parseval would meter
+            // it. Run the staged chain's steps instead — re-zero the pad
+            // by transforming the truncated played signal again, and
+            // meter its low band in time domain. Both are a few points.
+            fft::half_spectrum_into(&self.played, n, &mut self.spec);
+            crate::Accelerometer::low_band_rms(&self.played, sample_rate, split_hz)
+        } else {
+            // Readout-noise drive, metered on the speaker-weighted
+            // spectrum: the staged chain low-pass-filters the played
+            // signal a third time just to take an RMS; by Parseval that
+            // RMS is a weighted bin-energy sum over the low band.
+            low_band_rms_parseval(&self.spec, n, len, sample_rate, split_hz)
+        };
 
         // Coupling response stacked on the same spectrum, then the
         // second (and last) inverse transform.
@@ -167,6 +176,15 @@ impl ConversionEngine {
         vib
     }
 }
+
+/// Largest padded block whose pad [`ConversionEngine::convert`]
+/// re-zeroes before the coupling filter. Recordings of 3, 5, 6 and 7
+/// samples (padded to 4 or 8) are where skipping that step moves the
+/// output far from the staged chain: on a sine sweep over both presets
+/// and 20 seeds, 14–54 times the parity gate, against at most three
+/// quarters of it at every length from 9 to 79 (the parity tests run
+/// every length below 400).
+const SHORT_BLOCK: usize = 8;
 
 /// RMS of the `<= split_hz` band of the length-`len` signal whose
 /// padded half-spectrum is `spec`, via Parseval's theorem: the energy
@@ -416,30 +434,35 @@ mod tests {
 
     }
 
-    /// Lengths below one 8-point FFT block where the two paths part by
-    /// more than [`assert_paths_agree`]'s gate: the staged chain cuts
-    /// the speaker output back to `n` samples between two 8-point
-    /// filters, the fused path keeps it whole, and the single output
-    /// sample of such a capture shows the difference in full. Power-of-
-    /// two lengths have no pad, so both paths agree there exactly.
-    const SHORT_DIVERGENT: [usize; 4] = [3, 5, 6, 7];
-
     #[test]
     fn fused_matches_staged_on_every_short_input() {
         // Short / empty inputs stress padding edge cases (n < one ADC
         // period, n == 1 → single-bin spectrum). Every length is run,
-        // not a sample of them, so the divergent lengths stay in view.
+        // not a sample of them.
         let w = Wearable::moto_360();
         for n in 0..400usize {
             let sig: Vec<f32> = (0..n).map(|i| 0.3 * (i as f32 * 0.7).sin()).collect();
             for seed in 0..3 {
-                if SHORT_DIVERGENT.contains(&n) {
+                assert_paths_agree(&w, &sig, 16_000, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn short_blocks_run_the_staged_chain_bitwise() {
+        // A padded block of up to `SHORT_BLOCK` points (lengths 3, 5, 6
+        // and 7) has its pad re-zeroed and its low band metered in time
+        // domain, so the engine runs the staged chain exactly there.
+        for w in [Wearable::fossil_gen_5(), Wearable::moto_360()] {
+            for n in (1..SHORT_BLOCK).filter(|&n| n < fft::next_pow2(n)) {
+                let sig: Vec<f32> = (0..n).map(|i| 0.3 * (i as f32 * 0.7).sin()).collect();
+                for seed in 0..5 {
                     let fused = w.convert(&sig, 16_000, &mut StdRng::seed_from_u64(seed));
                     let staged = convert_staged(&w, &sig, 16_000, &mut StdRng::seed_from_u64(seed));
-                    assert_eq!(fused.len(), staged.len());
-                    assert!(fused.samples().iter().all(|v| v.is_finite()));
-                } else {
-                    assert_paths_agree(&w, &sig, 16_000, seed);
+                    let bits = |b: &AudioBuffer| {
+                        b.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&fused), bits(&staged), "len {n}, seed {seed}");
                 }
             }
         }
